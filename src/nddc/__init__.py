@@ -4,7 +4,6 @@ from .core import (
     Classification,
     ConstantDatum,
     DerivativeMode,
-    HistoryBuffer,
     LinearDatum,
     ModelKind,
     NonFiniteStateError,
@@ -32,7 +31,6 @@ __all__ = [
     "Classification",
     "ConstantDatum",
     "DerivativeMode",
-    "HistoryBuffer",
     "LinearDatum",
     "Mesh",
     "ModelKind",

@@ -1,8 +1,10 @@
-"""Shared domain types: opinion states, mesh histories, weights, run records."""
+"""Shared domain types: opinion states, weights, datums, configs, run records."""
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -16,10 +18,6 @@ DIVERGENCE_GUARD = 1.0e6
 
 class NonFiniteStateError(ValueError):
     """An operation received a state with NaN or infinite entries."""
-
-
-class HistoryWindowError(LookupError):
-    """A history lookup fell outside the retained ring window."""
 
 
 class MeshAlignmentError(ValueError):
@@ -123,98 +121,6 @@ class WeightMatrix:
         return w
 
 
-class HistoryBuffer:
-    """Mesh-aligned ring of (state, derivative) node pairs around the current step.
-
-    Node k sits at time k * step_size; nodes -delay_steps..0 are seeded from the
-    initial datum. The ring retains at least the last 2*delay_steps + 1 nodes so
-    that every delayed lookup of the integrator (and a 2-tau lookback) succeeds.
-    """
-
-    def __init__(
-        self,
-        step_size: float,
-        delay_steps: int,
-        n_agents: int,
-        dim: int,
-        capacity: Optional[int] = None,
-    ) -> None:
-        if step_size <= 0:
-            raise ValueError("step size must be positive")
-        if delay_steps < 1:
-            raise ValueError("delay_steps must be >= 1")
-        if capacity is None:
-            capacity = 2 * delay_steps + 2
-        if capacity < 2 * delay_steps + 1:
-            raise ValueError("capacity must be at least 2*delay_steps + 1")
-        self.step_size = float(step_size)
-        self.delay_steps = int(delay_steps)
-        self.n_agents = int(n_agents)
-        self.dim = int(dim)
-        self.capacity = int(capacity)
-        self._states = np.zeros((capacity, n_agents, dim))
-        self._derivs = np.zeros((capacity, n_agents, dim))
-        self._latest = -1
-        self._count = 0
-
-    @property
-    def delay(self) -> float:
-        return self.step_size * self.delay_steps
-
-    @property
-    def latest(self) -> int:
-        """Absolute index of the newest node (node 0 is t = 0)."""
-        if self._count == 0:
-            raise HistoryWindowError("history buffer is empty")
-        return self._latest
-
-    @property
-    def earliest(self) -> int:
-        if self._count == 0:
-            raise HistoryWindowError("history buffer is empty")
-        return self._latest - self._count + 1
-
-    def seed_datum(self, states: np.ndarray, derivs: np.ndarray) -> None:
-        """Load nodes -delay_steps..0 from datum samples (delay_steps + 1 each)."""
-        states = np.asarray(states, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        m = self.delay_steps
-        if states.shape != (m + 1, self.n_agents, self.dim):
-            raise ValueError("datum sample block has wrong shape")
-        if derivs.shape != states.shape:
-            raise ValueError("datum derivative block has wrong shape")
-        for k in range(-m, 1):
-            slot = k % self.capacity
-            self._states[slot] = states[k + m]
-            self._derivs[slot] = derivs[k + m]
-        self._latest = 0
-        self._count = m + 1
-
-    def append(self, state: np.ndarray, deriv: np.ndarray) -> None:
-        node = self._latest + 1
-        slot = node % self.capacity
-        self._states[slot] = state
-        self._derivs[slot] = deriv
-        self._latest = node
-        self._count = min(self._count + 1, self.capacity)
-
-    def _slot(self, node: int, clamp: bool) -> int:
-        lo, hi = self.earliest, self._latest
-        if node > hi or (node < lo and not clamp):
-            raise HistoryWindowError(f"node {node} outside retained window [{lo}, {hi}]")
-        return max(node, lo) % self.capacity
-
-    def state(self, node: int, clamp: bool = False) -> np.ndarray:
-        """State at absolute node index; clamp=True substitutes the earliest node."""
-        return self._states[self._slot(node, clamp)]
-
-    def deriv(self, node: int, clamp: bool = False) -> np.ndarray:
-        return self._derivs[self._slot(node, clamp)]
-
-    def time_of(self, node: int) -> float:
-        return node * self.step_size
-
-
 @dataclass
 class ConstantDatum:
     """Initial trajectories x0(t) = c with zero derivative."""
@@ -299,10 +205,19 @@ class SimConfig:
     def __post_init__(self) -> None:
         self.model = ModelKind(self.model)
         self.derivative_mode = DerivativeMode(self.derivative_mode)
+        for name, value in (("tau", self.tau), ("lambda", self.lam), ("t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
+        # A fractional step count would keep dt = tau / m but delay by int(m) steps.
+        steps = self.steps_per_delay
+        if not (isinstance(steps, numbers.Integral)
+                or (isinstance(steps, float) and steps.is_integer())):
+            raise ValueError(f"steps_per_delay must be an integer, got {steps!r}")
+        self.steps_per_delay = int(steps)
         if self.steps_per_delay < 1:
             raise ValueError("steps_per_delay must be >= 1")
         if self.t_end <= 0:

@@ -1,4 +1,4 @@
-"""Fixed-step implicit-Euler integration of the delay models with history buffers."""
+"""Fixed-step implicit-Euler integration of the delay models, one delay block at a time."""
 
 from __future__ import annotations
 
@@ -7,22 +7,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import models
 from .core import (
     DIVERGENCE_GUARD,
     Classification,
     DerivativeMode,
-    HistoryBuffer,
     MeshAlignmentError,
     ModelKind,
     NonFiniteStateError,
     SimConfig,
     Trajectory,
-    WeightMatrix,
     diameter_series,
 )
 from .diagnostics import classify_series
-from .models import ScalarHistory
 
 
 @dataclass(frozen=True)
@@ -70,99 +66,103 @@ def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
     return math.ceil(t_target / dt - 1e-9) * dt
 
 
-def init_history(datum, mesh: Mesh, n: int, d: int) -> HistoryBuffer:
-    """Seed a history buffer with the datum's m+1 samples at times -tau..0."""
-    if mesh.tau == 0:
-        raise ValueError("history buffers are only used for tau > 0")
-    states, derivs = datum.on_mesh(mesh.datum_times)
-    if states.shape[1:] != (n, d):
-        raise ValueError(
-            f"datum produces states of shape {states.shape[1:]}, expected ({n}, {d})"
-        )
-    buf = HistoryBuffer(mesh.step_size, mesh.steps_per_delay, n, d)
-    buf.seed_datum(states, derivs)
-    return buf
+def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    # Sum_j w_ij (targets_j - anchors_i) for one (N, d) node or a (T, N, d)
+    # block, with the subtraction done per pair so a consensus state yields
+    # exactly zero in floating point.
+    diff = targets[..., None, :, :] - anchors[..., :, None, :]
+    return np.einsum("ij,...ijk->...ik", weights, diff)
 
 
-def _delayed_derivative(history: HistoryBuffer, node: int, mode: DerivativeMode) -> np.ndarray:
-    # Nodes inside the datum window always use the stored analytic derivative.
-    if node <= 0 or mode is DerivativeMode.STORED_RHS:
-        return history.deriv(node)
-    return (history.state(node) - history.state(node - 1)) / history.step_size
+def _accumulate(x: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    # x(b+s) = x(b+s-1) + increment, added in node order as a per-step loop would.
+    return np.cumsum(np.concatenate((x[None], increments)), axis=0)[1:]
 
 
-def _pairwise_rhs(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    # Sum_j w_ij (targets_j - anchors_i), with the subtraction done per pair so
-    # a consensus state yields exactly zero in floating point.
-    diff = targets[None, :, :] - anchors[:, None, :]
-    return np.einsum("ij,ijk->ik", weights, diff)
+def _block_advance(config: SimConfig, dt: float, delayed: bool):
+    """The model's update over one block: advance(x, z, count) -> (states, rhs).
 
-
-def step_transmission(
-    history: HistoryBuffer,
-    weights: WeightMatrix,
-    lam: float,
-    mode: DerivativeMode = DerivativeMode.BACKWARD_DIFFERENCE,
-) -> np.ndarray:
-    """One implicit-Euler step of the transmission (no self-delay) system.
-
-    Solves (x_i(n+1) - x_i(n)) / dt = sum_{j != i} w_ij (y_j - x_i(n+1)) with
-    y_j = x_j(n+1-m) + lam*tau * D_j(n+1-m); with off-diagonal row sums equal
-    to 1 the closed form is x(n+1) = x(n) + dt/(1+dt) * sum_j w_ij (y_j - x_i(n)).
-    The right-hand side evaluated at the accepted state is appended to the
-    history as the node's derivative.
+    ``x`` is the state at the block's last accepted node and ``z`` holds the
+    anticipated delayed inputs x(k) + lam*tau*D(k), k = n+1-m, of the block's
+    ``count`` steps (None when tau = 0). Returns the next ``count`` states and
+    the right-hand sides recorded as their derivatives.
     """
-    if not weights.row_stochastic:
-        raise ValueError("transmission model requires off-diagonal row sums equal to 1")
-    w0 = weights.off_diagonal()
-    dt = history.step_size
-    tau = history.delay
-    n = history.latest
-    k = n + 1 - history.delay_steps
-    x = history.state(n)
-    y = history.state(k) + (lam * tau) * _delayed_derivative(history, k, mode)
-    x_new = x + (dt / (1.0 + dt)) * _pairwise_rhs(w0, y, x)
-    if not _finite(x_new):
-        raise NonFiniteStateError("transmission step produced a non-finite state")
-    history.append(x_new, _pairwise_rhs(w0, y, x_new))
-    return x_new
+    model = config.model
+    if model.is_scalar:
+        if not delayed:
+            # Both gap equations reduce to x' = -2x; implicit Euler divides by 1 + 2 dt.
+            shrink = 1.0 / (1.0 + 2.0 * dt)
+
+            def advance(x, z, count):
+                new = np.cumprod(np.r_[x[0, 0], np.full(count, shrink)])[1:, None, None]
+                return new, -2.0 * new
+        elif model is ModelKind.TWO_AGENT_TRANSMISSION:
+            # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt).
+            def advance(x, z, count):
+                gap, new = float(x[0, 0]), []
+                for anticipated in z[:, 0, 0].tolist():
+                    gap = (gap - dt * anticipated) / (1.0 + dt)
+                    new.append(gap)
+                new = np.array(new)[:, None, None]
+                return new, -z - new
+        else:
+            # x' = -2 z with z known: x(n+1) = x(n) - 2 dt z.
+            def advance(x, z, count):
+                return _accumulate(x, (-2.0 * dt) * z), -2.0 * z
+        return advance
+
+    weights = config.weights
+    if model is ModelKind.TRANSMISSION:
+        if not weights.row_stochastic:
+            raise ValueError("transmission model requires off-diagonal row sums equal to 1")
+        w = weights.off_diagonal()
+    else:
+        w = weights.weights
+    if not delayed:
+        # tau = 0 degenerates both models to ODEs; implicit Euler is solved in
+        # increment form so a consensus state stays an exact fixed point.
+        eye = np.eye(weights.n)
+        if model is ModelKind.TRANSMISSION:
+            system = (1.0 + dt) * eye - dt * w
+        else:
+            system = eye + dt * (np.diag(w.sum(axis=1)) - w)
+        propagate = np.linalg.inv(system)
+
+        def advance(x, z, count):
+            new = np.empty((count,) + x.shape)
+            for s in range(count):
+                x = x + dt * (propagate @ _pairwise(w, x, x))
+                new[s] = x
+            return new, _pairwise(w, new, new)
+    elif model is ModelKind.TRANSMISSION:
+        # (x_i(n+1) - x_i(n)) / dt = sum_j w_ij (z_j - x_i(n+1)); with
+        # off-diagonal row sums equal to 1 the closed form is
+        # x(n+1) = x(n) + dt/(1+dt) * sum_j w_ij (z_j - x_i(n)).
+        gain = dt / (1.0 + dt)
+
+        def advance(x, z, count):
+            new = np.empty_like(z)
+            for s in range(count):
+                x = x + gain * _pairwise(w, z[s], x)
+                new[s] = x
+            return new, _pairwise(w, z, new)
+    else:
+        # x_i' = sum_j w_ij (z_j - z_i): every term is known, so the implicit
+        # scheme is a direct update; diagonal weights cancel in the differences.
+        def advance(x, z, count):
+            rhs = _pairwise(w, z, z)
+            return _accumulate(x, dt * rhs), rhs
+    return advance
 
 
-def step_reaction(
-    history: HistoryBuffer,
-    weights: WeightMatrix,
-    lam: float,
-    mode: DerivativeMode = DerivativeMode.BACKWARD_DIFFERENCE,
-) -> np.ndarray:
-    """One step of the reaction (self-delay) system.
-
-    x_i(n+1) = x_i(n) + dt * sum_j w_ij (z_j - z_i) with
-    z = x(n+1-m) + lam*tau * D(n+1-m); with m >= 1 every right-hand term is
-    known, so the implicit scheme reduces to a direct update. Diagonal weights
-    cancel in the pairwise differences.
-    """
-    dt = history.step_size
-    tau = history.delay
-    n = history.latest
-    k = n + 1 - history.delay_steps
-    z = history.state(k) + (lam * tau) * _delayed_derivative(history, k, mode)
-    rhs = _pairwise_rhs(weights.weights, z, z)
-    x_new = history.state(n) + dt * rhs
-    if not _finite(x_new):
-        raise NonFiniteStateError("reaction step produced a non-finite state")
-    history.append(x_new, rhs)
-    return x_new
-
-
-def _finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr)))
-
-
-def _range_bound(values: np.ndarray) -> float:
-    # Euclidean norm of per-coordinate ranges: upper bound on the diameter
-    # within a factor sqrt(d), cheap enough to evaluate every step.
-    spread = values.max(axis=0) - values.min(axis=0)
-    return float(np.sqrt(np.dot(spread, spread)))
+def _guard_values(states: np.ndarray, scalar: bool) -> np.ndarray:
+    if scalar:
+        return np.abs(states[:, 0, 0])
+    # Euclidean norm of per-coordinate ranges: an upper bound on the diameter
+    # within a factor sqrt(d), so the guard can only fire earlier than the
+    # exact diameter would. The stacked product evaluates each row as np.dot.
+    spread = states.max(axis=1) - states.min(axis=1)
+    return np.sqrt((spread[:, None, :] @ spread[:, :, None])[:, 0, 0])
 
 
 def run(
@@ -173,158 +173,80 @@ def run(
 ) -> Trajectory:
     """Integrate one configuration and classify the resulting trajectory.
 
-    Runs are aborted (classification Diverged) as soon as a state goes
-    non-finite or the opinion diameter exceeds DIVERGENCE_GUARD times
-    max(1, d_x(0)).
+    The delay is exactly m steps, so the inputs of the next m steps are all
+    known (the method of steps): the run advances one block of m steps at a
+    time through one history array whose first rows hold the datum. The two
+    gap models run as N = d = 1.
+
+    Runs are aborted (classification Diverged) at the first node whose state
+    is non-finite or whose opinion diameter exceeds DIVERGENCE_GUARD times
+    max(1, d_x(0)); a node over the guard is recorded, a non-finite one is not.
     """
-    if config.model.is_scalar:
-        return _run_scalar(config, tol_low, tol_high, trailing_fraction)
-    return _run_matrix(config, tol_low, tol_high, trailing_fraction)
-
-
-def _run_matrix(config, tol_low, tol_high, trailing_fraction) -> Trajectory:
-    if config.weights is None:
-        raise ValueError("N-agent models need a weight matrix")
-    weights = config.weights
-    if weights.n != config.n:
-        raise ValueError("weight matrix size does not match n")
+    scalar = config.model.is_scalar
+    if scalar:
+        if config.d != 1:
+            raise ValueError("two-agent reductions track a scalar gap; use d = 1")
+        shape = (1, 1)
+    else:
+        if config.weights is None:
+            raise ValueError("N-agent models need a weight matrix")
+        if config.weights.n != config.n:
+            raise ValueError("weight matrix size does not match n")
+        shape = (config.n, config.d)
     mesh = Mesh.build(config.tau, config.steps_per_delay, config.t_end)
     dt = mesh.step_size
-
     datum_states, datum_derivs = config.datum.on_mesh(mesh.datum_times)
-    if datum_states.shape[1:] != (config.n, config.d):
-        raise ValueError("datum shape does not match (n, d)")
-    if not (_finite(datum_states) and _finite(datum_derivs)):
+    if datum_states.shape[1:] != shape:
+        raise ValueError(f"datum shape {datum_states.shape[1:]} does not match {shape}")
+    if not (np.isfinite(datum_states).all() and np.isfinite(datum_derivs).all()):
         raise NonFiniteStateError("initial datum contains non-finite entries")
+    advance = _block_advance(config, dt, mesh.tau > 0)
+
+    # Row lag + k holds mesh node k; rows 0..lag hold the datum on [-tau, 0].
+    lag = len(datum_states) - 1
+    end = lag + mesh.total_steps
+    states = np.empty((end + 1,) + shape)
+    derivs = np.empty_like(states)
+    states[: lag + 1] = datum_states
+    derivs[: lag + 1] = datum_derivs
     x0 = datum_states[-1]
-
-    states = [x0.copy()]
-    derivs = [datum_derivs[-1].copy()]
-    d0, _ = diameter_series(x0[None])
-    # The in-loop guard compares the coordinate-range bound (>= d_x, <= sqrt(d) d_x),
-    # so it can only fire earlier than the exact diameter would.
-    guard = DIVERGENCE_GUARD * max(1.0, float(d0[0]))
-    aborted = False
-    abort_step = None
-
-    if mesh.tau == 0:
-        stepper = _ode_stepper(config.model, weights, dt)
-        x = x0.copy()
-        for n in range(mesh.total_steps):
-            x, rhs = stepper(x)
-            if not _finite(x):
-                aborted, abort_step = True, n + 1
-                break
-            states.append(x.copy())
-            derivs.append(rhs)
-            if _range_bound(x) > guard:
-                aborted, abort_step = True, n + 1
-                break
+    if scalar:
+        guard = DIVERGENCE_GUARD * max(1.0, abs(float(x0[0, 0])))
     else:
-        history = HistoryBuffer(dt, mesh.steps_per_delay, config.n, config.d)
-        history.seed_datum(datum_states, datum_derivs)
-        step = step_transmission if config.model is ModelKind.TRANSMISSION else step_reaction
-        for n in range(mesh.total_steps):
-            try:
-                x = step(history, weights, config.lam, config.derivative_mode)
-            except NonFiniteStateError:
-                aborted, abort_step = True, n + 1
-                break
-            states.append(x.copy())
-            derivs.append(history.deriv(history.latest).copy())
-            if _range_bound(x) > guard:
-                aborted, abort_step = True, n + 1
-                break
+        guard = DIVERGENCE_GUARD * max(1.0, float(diameter_series(x0[None])[0][0]))
+    gain = config.lam * (dt * mesh.steps_per_delay)  # lam * tau on the mesh
+    backward = config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
 
-    return _assemble(config, dt, states, derivs, aborted, abort_step,
-                     tol_low, tol_high, trailing_fraction)
+    top, abort_step = lag, None
+    while top < end and abort_step is None:
+        count = min(mesh.steps_per_delay, end - top)
+        z = None
+        if lag:
+            lo, hi = top + 1 - lag, top + 1 - lag + count
+            # Datum nodes (k <= 0) always use the stored analytic derivative.
+            cut = min(max(lo, lag + 1), hi) if backward else hi
+            slope = np.concatenate(
+                (derivs[lo:cut], (states[cut:hi] - states[cut - 1 : hi - 1]) / dt)
+            )
+            z = states[lo:hi] + gain * slope
+        new, rhs = advance(states[top], z, count)
+        bad = np.flatnonzero(~np.isfinite(new).reshape(count, -1).all(axis=1))
+        keep = bad[0] if len(bad) else count
+        high = np.flatnonzero(_guard_values(new[:keep], scalar) > guard)
+        if len(high):
+            keep = high[0] + 1
+        if len(high) or len(bad):
+            abort_step = int(top - lag + 1 + (high[0] if len(high) else bad[0]))
+        states[top + 1 : top + 1 + keep] = new[:keep]
+        derivs[top + 1 : top + 1 + keep] = rhs[:keep]
+        top += keep
 
-
-def _ode_stepper(model: ModelKind, weights: WeightMatrix, dt: float):
-    # tau = 0 degenerates both models to ODEs; implicit Euler is solved in
-    # increment form so a consensus state stays an exact fixed point.
-    n = weights.n
-    if model is ModelKind.TRANSMISSION:
-        if not weights.row_stochastic:
-            raise ValueError("transmission model requires off-diagonal row sums equal to 1")
-        w = weights.off_diagonal()
-        system = (1.0 + dt) * np.eye(n) - dt * w
-    else:
-        w = weights.weights.copy()
-        row = w.sum(axis=1)
-        laplacian = np.diag(row) - w
-        system = np.eye(n) + dt * laplacian
-    propagate = np.linalg.inv(system)
-
-    def step(x: np.ndarray):
-        x_new = x + dt * (propagate @ _pairwise_rhs(w, x, x))
-        return x_new, _pairwise_rhs(w, x_new, x_new)
-
-    return step
+    return _assemble(config, dt, states[lag : top + 1], derivs[lag : top + 1], abort_step,
+                     tol_low, tol_high, trailing_fraction, scalar)
 
 
-def _run_scalar(config, tol_low, tol_high, trailing_fraction) -> Trajectory:
-    if config.d != 1:
-        raise ValueError("two-agent reductions track a scalar gap; use d = 1")
-    mesh = Mesh.build(config.tau, config.steps_per_delay, config.t_end)
-    dt = mesh.step_size
-
-    datum_states, datum_derivs = config.datum.on_mesh(mesh.datum_times)
-    if datum_states.shape[1:] != (1, 1):
-        raise ValueError("scalar models need a (1, 1) datum")
-    if not (_finite(datum_states) and _finite(datum_derivs)):
-        raise NonFiniteStateError("initial datum contains non-finite entries")
-    x0 = float(datum_states[-1, 0, 0])
-
-    values = [x0]
-    derivs = [float(datum_derivs[-1, 0, 0])]
-    guard = DIVERGENCE_GUARD * max(1.0, abs(x0))
-    aborted = False
-    abort_step = None
-
-    if mesh.tau == 0:
-        # Both gap equations reduce to x' = -2x; implicit Euler divides by 1 + 2 dt.
-        shrink = 1.0 / (1.0 + 2.0 * dt)
-        x = x0
-        for n in range(mesh.total_steps):
-            x = x * shrink
-            values.append(x)
-            derivs.append(-2.0 * x)
-            if abs(x) > guard:
-                aborted, abort_step = True, n + 1
-                break
-    else:
-        history = ScalarHistory(datum_states[:, 0, 0], datum_derivs[:, 0, 0],
-                                dt, mesh.steps_per_delay)
-        step = (
-            models.step_two_agent_transmission
-            if config.model is ModelKind.TWO_AGENT_TRANSMISSION
-            else models.step_two_agent_reaction
-        )
-        mode = config.derivative_mode
-        lam = config.lam
-        for n in range(mesh.total_steps):
-            try:
-                x = step(history, lam, mode)
-            except NonFiniteStateError:
-                aborted, abort_step = True, n + 1
-                break
-            values.append(x)
-            derivs.append(history.deriv(history.latest))
-            if abs(x) > guard:
-                aborted, abort_step = True, n + 1
-                break
-
-    states = np.asarray(values)[:, None, None]
-    deriv_arr = np.asarray(derivs)[:, None, None]
-    return _assemble(config, dt, states, deriv_arr, aborted, abort_step,
-                     tol_low, tol_high, trailing_fraction, scalar=True)
-
-
-def _assemble(config, dt, states, derivs, aborted, abort_step,
-              tol_low, tol_high, trailing_fraction, scalar=False) -> Trajectory:
-    states = np.asarray(states, dtype=float)
-    derivs = np.asarray(derivs, dtype=float)
+def _assemble(config, dt, states, derivs, abort_step,
+              tol_low, tol_high, trailing_fraction, scalar) -> Trajectory:
     count = len(states)
     times = np.arange(count) * dt
     if scalar:
@@ -334,7 +256,7 @@ def _assemble(config, dt, states, derivs, aborted, abort_step,
         diameters, pairs = diameter_series(states)
     means = states.mean(axis=1)
     classification, evidence = classify_series(
-        diameters, aborted=aborted, abort_step=abort_step,
+        diameters, aborted=abort_step is not None, abort_step=abort_step,
         tol_low=tol_low, tol_high=tol_high, trailing_fraction=trailing_fraction,
     )
     return Trajectory(

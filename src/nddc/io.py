@@ -135,7 +135,7 @@ def config_from_dict(payload: dict) -> SimConfig:
         weights = weights_from_dict(payload["weights"])
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
-    steps = int(payload.get("steps_per_delay", 32))
+    steps = payload.get("steps_per_delay", 32)
     t_end = payload.get("t_end")
     if t_end is None:
         t_end = aligned_t_end(tau, steps, max(50.0, 40.0 * tau))

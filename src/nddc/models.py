@@ -1,12 +1,10 @@
-"""Two-agent scalar reductions and closed-form stability conditions."""
+"""Closed-form stability conditions for the two-agent reductions and the theorems."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-
-from .core import DerivativeMode, NonFiniteStateError
 
 #: Regime thresholds for the no-anticipation reaction equation, applied to 2*tau.
 NON_OSCILLATORY_THRESHOLD = math.exp(-1.0)
@@ -24,90 +22,6 @@ class RegimeLabel(str, enum.Enum):
 class AnalyticRegime:
     label: RegimeLabel
     thresholds: dict = field(default_factory=dict)
-
-
-class ScalarHistory:
-    """Mesh history of the scalar gap variable for the two-agent reductions.
-
-    Node k sits at time k * step_size; nodes -delay_steps..0 hold the datum.
-    """
-
-    __slots__ = ("values", "derivs", "step_size", "delay_steps", "delay")
-
-    def __init__(self, values, derivs, step_size: float, delay_steps: int) -> None:
-        if delay_steps < 1:
-            raise ValueError("delay_steps must be >= 1")
-        self.values = list(map(float, values))
-        self.derivs = list(map(float, derivs))
-        if len(self.values) != delay_steps + 1 or len(self.derivs) != delay_steps + 1:
-            raise ValueError("scalar history must start with delay_steps + 1 datum samples")
-        self.step_size = float(step_size)
-        self.delay_steps = int(delay_steps)
-        self.delay = self.step_size * self.delay_steps
-
-    @property
-    def latest(self) -> int:
-        return len(self.values) - 1 - self.delay_steps
-
-    def node(self, k: int) -> float:
-        return self.values[k + self.delay_steps]
-
-    def deriv(self, k: int) -> float:
-        return self.derivs[k + self.delay_steps]
-
-    def delayed_derivative(self, k: int, mode: DerivativeMode) -> float:
-        if k <= 0 or mode is DerivativeMode.STORED_RHS:
-            return self.derivs[k + self.delay_steps]
-        i = k + self.delay_steps
-        return (self.values[i] - self.values[i - 1]) / self.step_size
-
-    def append(self, value: float, deriv: float) -> None:
-        self.values.append(value)
-        self.derivs.append(deriv)
-
-
-def step_two_agent_transmission(
-    history: ScalarHistory,
-    lam: float,
-    mode: DerivativeMode = DerivativeMode.BACKWARD_DIFFERENCE,
-) -> float:
-    """One implicit-Euler step of the transmission gap equation.
-
-    x(n+1) = (x(n) - dt * (x(n+1-m) + lam*tau * D(n+1-m))) / (1 + dt), where D
-    is the delayed-derivative approximation selected by ``mode``. The accepted
-    right-hand side is appended to the history as the node's derivative.
-    """
-    dt = history.step_size
-    n = history.latest
-    k = n + 1 - history.delay_steps
-    anticipated = history.node(k) + lam * history.delay * history.delayed_derivative(k, mode)
-    x_new = (history.node(n) - dt * anticipated) / (1.0 + dt)
-    if not math.isfinite(x_new):
-        raise NonFiniteStateError("transmission gap step produced a non-finite value")
-    history.append(x_new, -anticipated - x_new)
-    return x_new
-
-
-def step_two_agent_reaction(
-    history: ScalarHistory,
-    lam: float,
-    mode: DerivativeMode = DerivativeMode.BACKWARD_DIFFERENCE,
-) -> float:
-    """One step of the reaction gap equation x' = -2 x~ - 2 lam*tau x~'.
-
-    With delay_steps >= 1 every right-hand term is already known, so the
-    implicit scheme reduces to the direct update
-    x(n+1) = x(n) - 2 dt * (x(n+1-m) + lam*tau * D(n+1-m)).
-    """
-    dt = history.step_size
-    n = history.latest
-    k = n + 1 - history.delay_steps
-    anticipated = history.node(k) + lam * history.delay * history.delayed_derivative(k, mode)
-    x_new = history.node(n) - 2.0 * dt * anticipated
-    if not math.isfinite(x_new):
-        raise NonFiniteStateError("reaction gap step produced a non-finite value")
-    history.append(x_new, -2.0 * anticipated)
-    return x_new
 
 
 def trans_two_agent_stable(lam: float, tau: float) -> bool:

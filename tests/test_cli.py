@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nddc.cli import main
 
 
@@ -61,6 +63,18 @@ def test_run_rejects_misaligned_horizon(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--lambda", "nan"),
+                                        ("--t-end", "inf")])
+def test_run_rejects_non_finite_values(tmp_path, capsys, flag, value):
+    args = {"--tau": "0.25", "--lambda": "1", "--t-end": "5"}
+    args[flag] = value
+    code = main(["run", "--model", "two-agent-transmission", "--steps-per-delay", "16",
+                 *[item for pair in args.items() for item in pair],
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_sweep_writes_grid(tmp_path):

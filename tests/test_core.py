@@ -1,17 +1,16 @@
-"""Domain-type tests: diameter, mean, histories, and datum construction."""
+"""Domain-type tests: diameter, mean, datum construction, and config validation."""
 
 import numpy as np
 import pytest
 
 from nddc.core import (
     ConstantDatum,
-    HistoryBuffer,
-    HistoryWindowError,
     LinearDatum,
     MeshAlignmentError,
     NonFiniteStateError,
     OpinionState,
     SampledDatum,
+    SimConfig,
     diameter,
     diameter_series,
     mean,
@@ -126,39 +125,6 @@ class TestOpinionState:
         assert state.n_agents == 3 and state.dim == 2
 
 
-class TestHistoryBuffer:
-    def _seeded(self, m=4, capacity=None):
-        buf = HistoryBuffer(step_size=0.1, delay_steps=m, n_agents=2, dim=1,
-                            capacity=capacity)
-        states = np.arange(m + 1, dtype=float).reshape(m + 1, 1, 1) * np.ones((1, 2, 1))
-        buf.seed_datum(states, np.zeros_like(states))
-        return buf
-
-    def test_seed_and_lookup(self):
-        buf = self._seeded()
-        assert buf.latest == 0
-        assert buf.earliest == -4
-        assert buf.state(-4)[0, 0] == 0.0
-        assert buf.state(0)[0, 0] == 4.0
-        assert buf.time_of(-4) == pytest.approx(-0.4)
-
-    def test_ring_eviction(self):
-        buf = self._seeded(m=2)  # capacity 6
-        for k in range(1, 8):
-            buf.append(np.full((2, 1), float(k + 2)), np.zeros((2, 1)))
-        assert buf.latest == 7
-        assert buf.earliest == 2
-        with pytest.raises(HistoryWindowError):
-            buf.state(1)
-        assert buf.state(1, clamp=True)[0, 0] == buf.state(2)[0, 0]
-        with pytest.raises(HistoryWindowError):
-            buf.state(8)
-
-    def test_capacity_floor(self):
-        with pytest.raises(ValueError):
-            HistoryBuffer(step_size=0.1, delay_steps=4, n_agents=2, dim=1, capacity=8)
-
-
 class TestDatum:
     def test_constant(self):
         datum = ConstantDatum(np.array([[1.0], [2.0]]))
@@ -185,3 +151,29 @@ class TestDatum:
             datum.on_mesh(np.array([-0.3, -0.15, 0.0]))
         with pytest.raises(MeshAlignmentError):
             datum.on_mesh(np.array([-0.2, -0.1, 0.0, 0.1]))
+
+
+class TestSimConfig:
+    def _config(self, **overrides):
+        kwargs = dict(model="two-agent-transmission", tau=0.5, lam=1.0,
+                      datum=ConstantDatum([[1.0]]), n=1, d=1, steps_per_delay=2, t_end=5.0)
+        kwargs.update(overrides)
+        return SimConfig(**kwargs)
+
+    def test_fractional_steps_per_delay_rejected(self):
+        # 2.5 steps would keep dt = tau / 2.5 but delay by 2 steps (tau = 0.2).
+        with pytest.raises(ValueError, match="steps_per_delay"):
+            self._config(steps_per_delay=2.5)
+        assert self._config(steps_per_delay=2.0).steps_per_delay == 2
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            self._config(tau=float("nan"))
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda"):
+            self._config(lam=float("nan"))
+
+    def test_infinite_t_end_rejected(self):
+        with pytest.raises(ValueError, match="t_end"):
+            self._config(t_end=float("inf"))

@@ -1,4 +1,4 @@
-"""Integrator tests: meshes, histories, steppers, full runs, refinement."""
+"""Integrator tests: meshes, datum seeding, block stepping, full runs, refinement."""
 
 import numpy as np
 import pytest
@@ -14,15 +14,7 @@ from nddc.core import (
     SampledDatum,
     SimConfig,
 )
-from nddc.integrator import (
-    Mesh,
-    aligned_t_end,
-    init_history,
-    refine_oracle,
-    run,
-    step_reaction,
-    step_transmission,
-)
+from nddc.integrator import Mesh, aligned_t_end, refine_oracle, run
 from nddc.weights import make_random_row_stochastic, make_random_symmetric_bistochastic, make_uniform
 
 # Step-halving cascade limit for the transmission gap at t = 1 (tau = 0.25,
@@ -31,8 +23,11 @@ GAP_AT_T1_REFERENCE = 0.053967995447
 
 
 def _gap_config(model=ModelKind.TWO_AGENT_TRANSMISSION, tau=0.25, lam=0.0,
-                m=32, t_end=5.0, value=1.0, mode=DerivativeMode.BACKWARD_DIFFERENCE):
-    return SimConfig(model=model, tau=tau, lam=lam, datum=ConstantDatum([[value]]),
+                m=32, t_end=5.0, value=1.0, mode=DerivativeMode.BACKWARD_DIFFERENCE,
+                datum=None):
+    if datum is None:
+        datum = ConstantDatum([[value]])
+    return SimConfig(model=model, tau=tau, lam=lam, datum=datum,
                      n=1, d=1, steps_per_delay=m, t_end=t_end, derivative_mode=mode)
 
 
@@ -59,62 +54,71 @@ class TestMesh:
 
 
 class TestInitHistory:
+    """The datum seeds nodes -m..0, which the first block reads as delayed inputs."""
+
     def test_constant_datum(self):
-        mesh = Mesh.build(tau=0.4, steps_per_delay=4, t_end=4.0)
-        buf = init_history(ConstantDatum([[1.0], [1.0]]), mesh, n=2, d=1)
-        for k in range(-4, 1):
-            assert np.all(buf.state(k) == 1.0)
-            assert np.all(buf.deriv(k) == 0.0)
+        # Every step of the first delay reads the constant datum with zero slope.
+        wm = make_uniform(2)
+        traj = run(SimConfig(model=ModelKind.REACTION, tau=0.4, lam=2.0,
+                             datum=ConstantDatum([[1.0], [3.0]]), n=2, d=1,
+                             steps_per_delay=4, t_end=0.4, weights=wm))
+        assert np.all(traj.states[0] == [[1.0], [3.0]])
+        assert np.all(traj.derivatives[0] == 0.0)
+        expected = [[wm.weights[0, 1] * 2.0], [wm.weights[1, 0] * -2.0]]
+        assert np.all(traj.derivatives[1:] == expected)
 
     def test_linear_datum(self):
-        mesh = Mesh.build(tau=0.5, steps_per_delay=2, t_end=2.0)
-        buf = init_history(LinearDatum(start=[[0.0]], slope=[[1.0]]), mesh, n=1, d=1)
-        np.testing.assert_allclose(
-            [buf.state(k)[0, 0] for k in (-2, -1, 0)], [-0.5, -0.25, 0.0]
-        )
-        assert all(buf.deriv(k)[0, 0] == 1.0 for k in (-2, -1, 0))
+        # Nodes -1 and 0 of x0(t) = t with slope 1 enter the first two steps:
+        # x(1) = 0 - 2 dt (-0.25 + lam*tau), x(2) = x(1) - 2 dt (0 + lam*tau).
+        traj = run(SimConfig(model=ModelKind.TWO_AGENT_REACTION, tau=0.5, lam=1.0,
+                             datum=LinearDatum(start=[[0.0]], slope=[[1.0]]), n=1, d=1,
+                             steps_per_delay=2, t_end=0.5))
+        assert list(traj.states[:, 0, 0]) == [0.0, -0.125, -0.375]
+        assert list(traj.derivatives[:, 0, 0]) == [1.0, -0.5, -1.0]
 
     def test_misaligned_table_rejected(self):
-        mesh = Mesh.build(tau=0.4, steps_per_delay=2, t_end=2.0)
         table = SampledDatum(times=np.array([-0.4, -0.15, 0.0]),
                              states=np.zeros((3, 1, 1)), derivs=np.zeros((3, 1, 1)))
         with pytest.raises(MeshAlignmentError):
-            init_history(table, mesh, n=1, d=1)
+            run(_gap_config(tau=0.4, m=2, t_end=2.0, datum=table))
 
 
 class TestSteppers:
     def test_transmission_consensus_is_exact_fixed_point(self):
-        mesh = Mesh.build(tau=0.3, steps_per_delay=8, t_end=3.0)
-        wm = make_random_row_stochastic(5, 0.1, seed=4)
-        buf = init_history(ConstantDatum(np.full((5, 3), 0.7)), mesh, n=5, d=3)
-        for _ in range(60):
-            new = step_transmission(buf, wm, lam=1.9)
-            assert np.all(new == 0.7)
+        traj = run(SimConfig(model=ModelKind.TRANSMISSION, tau=0.3, lam=1.9,
+                             datum=ConstantDatum(np.full((5, 3), 0.7)), n=5, d=3,
+                             steps_per_delay=8, t_end=3.0,
+                             weights=make_random_row_stochastic(5, 0.1, seed=4)))
+        assert traj.n_steps == 80
+        assert np.all(traj.states == 0.7)
 
     def test_reaction_consensus_is_exact_fixed_point(self):
-        mesh = Mesh.build(tau=0.3, steps_per_delay=8, t_end=3.0)
-        wm = make_random_symmetric_bistochastic(4, seed=2)
-        buf = init_history(ConstantDatum(np.full((4, 2), -1.3)), mesh, n=4, d=2)
-        for _ in range(60):
-            new = step_reaction(buf, wm, lam=0.4)
-            assert np.all(new == -1.3)
+        traj = run(SimConfig(model=ModelKind.REACTION, tau=0.3, lam=0.4,
+                             datum=ConstantDatum(np.full((4, 3), -1.3)), n=4, d=3,
+                             steps_per_delay=8, t_end=3.0,
+                             weights=make_random_symmetric_bistochastic(4, seed=2)))
+        assert traj.n_steps == 80
+        assert np.all(traj.states == -1.3)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflowing_step_raises(self):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_aborts(self):
+        # Datum derivatives near float max overflow the anticipation term.
         mesh = Mesh.build(tau=0.04, steps_per_delay=4, t_end=1.0)
-        table = SampledDatum(times=mesh.datum_times,
-                             states=np.zeros((5, 2, 1)),
+        table = SampledDatum(times=mesh.datum_times, states=np.zeros((5, 2, 1)),
                              derivs=np.full((5, 2, 1), 1.7e308))
-        buf = init_history(table, mesh, n=2, d=1)
-        with pytest.raises(NonFiniteStateError):
-            step_transmission(buf, make_uniform(2), lam=1e3)
+        traj = run(SimConfig(model=ModelKind.TRANSMISSION, tau=0.04, lam=1e3, datum=table,
+                             n=2, d=1, steps_per_delay=4, t_end=1.0, weights=make_uniform(2)))
+        assert traj.classification is Classification.DIVERGED
+        assert traj.evidence.abort_step == 1
+        assert traj.n_steps == 0
 
     def test_transmission_requires_row_stochastic(self):
-        mesh = Mesh.build(tau=0.3, steps_per_delay=4, t_end=3.0)
         wm = make_random_symmetric_bistochastic(4, seed=0)  # full rows sum to 1, off-diag < 1
-        buf = init_history(ConstantDatum(np.zeros((4, 1))), mesh, n=4, d=1)
-        with pytest.raises(ValueError):
-            step_transmission(buf, wm, lam=0.0)
+        for tau in (0.3, 0.0):
+            with pytest.raises(ValueError):
+                run(SimConfig(model=ModelKind.TRANSMISSION, tau=tau, lam=0.0,
+                              datum=ConstantDatum(np.zeros((4, 1))), n=4, d=1,
+                              steps_per_delay=4, t_end=3.0, weights=wm))
 
 
 class TestRun:

@@ -137,6 +137,13 @@ class TestParseConfig:
         assert cfg.weights is not None
         assert cfg.weights.row_stochastic
 
+    def test_fractional_steps_per_delay_not_truncated(self):
+        payload = {"model": "two-agent-transmission", "tau": 0.5, "steps_per_delay": 2.5}
+        with pytest.raises(ValueError, match="steps_per_delay"):
+            config_from_dict(payload)
+        with pytest.raises(ValueError, match="steps_per_delay"):
+            config_from_dict({**payload, "t_end": 5.0})
+
     def test_config_dict_round_trip(self):
         cfg, _ = _small_run()
         rebuilt = config_from_dict(config_to_dict(cfg))

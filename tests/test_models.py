@@ -5,49 +5,61 @@ import math
 import numpy as np
 import pytest
 
-from nddc.core import ConstantDatum, DerivativeMode, ModelKind, SimConfig
+from nddc.core import (
+    Classification,
+    ConstantDatum,
+    DerivativeMode,
+    MeshAlignmentError,
+    ModelKind,
+    SampledDatum,
+    SimConfig,
+)
 from nddc.integrator import run
 from nddc.models import (
     RegimeLabel,
-    ScalarHistory,
     react_no_anticipation_regime,
     react_two_agent_sufficient,
-    step_two_agent_reaction,
-    step_two_agent_transmission,
     theorem_reaction_condition,
     theorem_transmission_condition,
     trans_two_agent_stable,
 )
 
 
-def _history(value, m=4, dt=0.05):
-    return ScalarHistory([value] * (m + 1), [0.0] * (m + 1), dt, m)
+def _gap_run(model, value=0.0, lam=0.0, m=4, tau=0.2, steps=50, datum=None):
+    dt = tau / m
+    return run(SimConfig(model=model, tau=tau, lam=lam,
+                         datum=datum if datum is not None else ConstantDatum([[value]]),
+                         n=1, d=1, steps_per_delay=m, t_end=steps * dt))
 
 
 class TestScalarSteppers:
     def test_zero_is_steady_state(self):
-        for stepper in (step_two_agent_transmission, step_two_agent_reaction):
-            hist = _history(0.0)
-            for _ in range(50):
-                assert stepper(hist, lam=1.3) == 0.0
+        for model in (ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TWO_AGENT_REACTION):
+            traj = _gap_run(model, value=0.0, lam=1.3)
+            assert traj.n_steps == 50
+            assert np.all(traj.states == 0.0)
 
     def test_transmission_decays_from_constant_datum(self):
-        hist = _history(1.0, m=8, dt=0.25 / 8)
-        values = [step_two_agent_transmission(hist, lam=0.0) for _ in range(400)]
+        traj = _gap_run(ModelKind.TWO_AGENT_TRANSMISSION, value=1.0, m=8, tau=0.25, steps=400)
+        values = traj.states[1:, 0, 0]
         assert values[-1] < values[0] < 1.0
-        assert all(v > 0 for v in values)
+        assert np.all(values > 0)
 
     def test_history_requires_full_datum(self):
-        with pytest.raises(ValueError):
-            ScalarHistory([1.0, 1.0], [0.0, 0.0], 0.1, 4)
+        short = SampledDatum(times=[-0.05, 0.0], states=np.ones((2, 1, 1)),
+                             derivs=np.zeros((2, 1, 1)))
+        with pytest.raises(MeshAlignmentError):
+            _gap_run(ModelKind.TWO_AGENT_TRANSMISSION, datum=short)
 
-    def test_overflowing_step_raises(self):
-        from nddc.core import NonFiniteStateError
-
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_aborts(self):
         # datum derivatives near float max overflow the anticipation term
-        hist = ScalarHistory([0.0] * 5, [1.7e308] * 5, 0.01, 4)
-        with pytest.raises(NonFiniteStateError):
-            step_two_agent_transmission(hist, lam=1e3)
+        table = SampledDatum(times=np.arange(-4, 1) * 0.01, states=np.zeros((5, 1, 1)),
+                             derivs=np.full((5, 1, 1), 1.7e308))
+        traj = _gap_run(ModelKind.TWO_AGENT_TRANSMISSION, lam=1e3, m=4, tau=0.04, datum=table)
+        assert traj.classification is Classification.DIVERGED
+        assert traj.evidence.abort_step == 1
+        assert traj.n_steps == 0
 
 
 class TestGapEquivalence:
