@@ -15,7 +15,7 @@ from .core import (
     diameter,
     mean,
 )
-from .integrator import Mesh, refine_oracle, run
+from .integrator import Mesh, refine_oracle, run, run_lanes
 from .weights import (
     WeightSpec,
     gamma,
@@ -49,6 +49,7 @@ __all__ = [
     "mean",
     "refine_oracle",
     "run",
+    "run_lanes",
     "validate",
     "__version__",
 ]

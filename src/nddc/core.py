@@ -186,6 +186,20 @@ class SampledDatum:
 Datum = Union[ConstantDatum, LinearDatum, SampledDatum]
 
 
+def integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int, rejecting fractions rather than truncating them.
+
+    Ints and integral floats are accepted (2.0 -> 2); anything else, or a
+    value below ``minimum``, raises ValueError naming ``name``.
+    """
+    if not (isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SimConfig:
     """Full description of one simulation run."""
@@ -213,13 +227,9 @@ class SimConfig:
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         # A fractional step count would keep dt = tau / m but delay by int(m) steps.
-        steps = self.steps_per_delay
-        if not (isinstance(steps, numbers.Integral)
-                or (isinstance(steps, float) and steps.is_integer())):
-            raise ValueError(f"steps_per_delay must be an integer, got {steps!r}")
-        self.steps_per_delay = int(steps)
-        if self.steps_per_delay < 1:
-            raise ValueError("steps_per_delay must be >= 1")
+        self.steps_per_delay = integer("steps_per_delay", self.steps_per_delay, minimum=1)
+        self.n = integer("n", self.n, minimum=1)
+        self.d = integer("d", self.d, minimum=1)
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
 

@@ -82,10 +82,13 @@ def _accumulate(x: np.ndarray, increments: np.ndarray) -> np.ndarray:
 def _block_advance(config: SimConfig, dt: float, delayed: bool):
     """The model's update over one block: advance(x, z, count) -> (states, rhs).
 
-    ``x`` is the state at the block's last accepted node and ``z`` holds the
-    anticipated delayed inputs x(k) + lam*tau*D(k), k = n+1-m, of the block's
-    ``count`` steps (None when tau = 0). Returns the next ``count`` states and
-    the right-hand sides recorded as their derivatives.
+    ``x`` holds the (L, N, d) states of the block's L lanes at its last
+    accepted node and ``z`` the anticipated delayed inputs
+    x(k) + lam*tau*D(k), k = n+1-m, of the block's ``count`` steps, shape
+    (count, L, N, d) (None when tau = 0). Returns the next ``count`` states
+    and the right-hand sides recorded as their derivatives. Each lane is
+    computed with the same operations as a run of its own, and the N-agent
+    models take one lane.
     """
     model = config.model
     if model.is_scalar:
@@ -94,16 +97,21 @@ def _block_advance(config: SimConfig, dt: float, delayed: bool):
             shrink = 1.0 / (1.0 + 2.0 * dt)
 
             def advance(x, z, count):
-                new = np.cumprod(np.r_[x[0, 0], np.full(count, shrink)])[1:, None, None]
+                factors = np.concatenate((x[None], np.full((count,) + x.shape, shrink)))
+                new = np.cumprod(factors, axis=0)[1:]
                 return new, -2.0 * new
         elif model is ModelKind.TWO_AGENT_TRANSMISSION:
-            # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt).
+            # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt),
+            # looped on Python floats lane by lane: per step that is far
+            # cheaper than NumPy scalar arithmetic.
             def advance(x, z, count):
-                gap, new = float(x[0, 0]), []
-                for anticipated in z[:, 0, 0].tolist():
-                    gap = (gap - dt * anticipated) / (1.0 + dt)
-                    new.append(gap)
-                new = np.array(new)[:, None, None]
+                new = np.empty_like(z)
+                for lane in range(len(x)):
+                    gap, column = float(x[lane, 0, 0]), []
+                    for anticipated in z[:, lane, 0, 0].tolist():
+                        gap = (gap - dt * anticipated) / (1.0 + dt)
+                        column.append(gap)
+                    new[:, lane, 0, 0] = column
                 return new, -z - new
         else:
             # x' = -2 z with z known: x(n+1) = x(n) - 2 dt z.
@@ -152,17 +160,23 @@ def _block_advance(config: SimConfig, dt: float, delayed: bool):
         def advance(x, z, count):
             rhs = _pairwise(w, z, z)
             return _accumulate(x, dt * rhs), rhs
-    return advance
+
+    def one_lane(x, z, count):
+        new, rhs = advance(x[0], None if z is None else z[:, 0], count)
+        return new[:, None], rhs[:, None]
+    return one_lane
 
 
 def _guard_values(states: np.ndarray, scalar: bool) -> np.ndarray:
+    """The (count, L) values of a (count, L, N, d) block held against the guard."""
     if scalar:
-        return np.abs(states[:, 0, 0])
+        return np.abs(states[:, :, 0, 0])
     # Euclidean norm of per-coordinate ranges: an upper bound on the diameter
     # within a factor sqrt(d), so the guard can only fire earlier than the
     # exact diameter would. The stacked product evaluates each row as np.dot.
-    spread = states.max(axis=1) - states.min(axis=1)
-    return np.sqrt((spread[:, None, :] @ spread[:, :, None])[:, 0, 0])
+    spread = states.max(axis=2) - states.min(axis=2)
+    rows = spread.reshape(-1, spread.shape[-1])
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0]).reshape(spread.shape[:2])
 
 
 def run(
@@ -182,6 +196,24 @@ def run(
     is non-finite or whose opinion diameter exceeds DIVERGENCE_GUARD times
     max(1, d_x(0)); a node over the guard is recorded, a non-finite one is not.
     """
+    return run_lanes(config, [config.lam], tol_low, tol_high, trailing_fraction)[0]
+
+
+def run_lanes(
+    config: SimConfig,
+    lams,
+    tol_low: float = 1e-3,
+    tol_high: float = 1e3,
+    trailing_fraction: float = 0.2,
+) -> list[Trajectory]:
+    """Run ``config`` once per lambda in ``lams``, every run a lane of one batch.
+
+    The lanes share the model, tau, mesh, horizon, datum and derivative mode
+    and advance in lockstep, each aborting on its own; trajectory i equals
+    ``run(replace(config, lam=lams[i]))`` bit for bit. Only the two-agent gap
+    models take more than one lane.
+    """
+    lanes = [replace(config, lam=float(lam)) for lam in lams]
     scalar = config.model.is_scalar
     if scalar:
         if config.d != 1:
@@ -192,9 +224,11 @@ def run(
             raise ValueError("N-agent models need a weight matrix")
         if config.weights.n != config.n:
             raise ValueError("weight matrix size does not match n")
+        if len(lanes) != 1:
+            raise ValueError("N-agent models run one lane at a time")
         shape = (config.n, config.d)
     mesh = Mesh.build(config.tau, config.steps_per_delay, config.t_end)
-    dt = mesh.step_size
+    dt, m = mesh.step_size, mesh.steps_per_delay
     datum_states, datum_derivs = config.datum.on_mesh(mesh.datum_times)
     if datum_states.shape[1:] != shape:
         raise ValueError(f"datum shape {datum_states.shape[1:]} does not match {shape}")
@@ -202,47 +236,66 @@ def run(
         raise NonFiniteStateError("initial datum contains non-finite entries")
     advance = _block_advance(config, dt, mesh.tau > 0)
 
-    # Row lag + k holds mesh node k; rows 0..lag hold the datum on [-tau, 0].
+    # Row lag + k holds mesh node k of every lane; rows 0..lag hold the datum
+    # on [-tau, 0].
     lag = len(datum_states) - 1
     end = lag + mesh.total_steps
-    states = np.empty((end + 1,) + shape)
+    states = np.empty((end + 1, len(lanes)) + shape)
     derivs = np.empty_like(states)
-    states[: lag + 1] = datum_states
-    derivs[: lag + 1] = datum_derivs
+    states[: lag + 1] = datum_states[:, None]
+    derivs[: lag + 1] = datum_derivs[:, None]
     x0 = datum_states[-1]
     if scalar:
         guard = DIVERGENCE_GUARD * max(1.0, abs(float(x0[0, 0])))
     else:
         guard = DIVERGENCE_GUARD * max(1.0, float(diameter_series(x0[None])[0][0]))
-    gain = config.lam * (dt * mesh.steps_per_delay)  # lam * tau on the mesh
+    # lam * tau on the mesh, one gain per lane.
+    gains = (np.array([lane.lam for lane in lanes]) * (dt * m))[:, None, None]
     backward = config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
 
-    top, abort_step = lag, None
-    while top < end and abort_step is None:
-        count = min(mesh.steps_per_delay, end - top)
+    # Lanes in ``live`` all stand at row ``top``; an aborted lane stops at its
+    # own last row and is computed no further.
+    live = np.arange(len(lanes))
+    tops = [end] * len(lanes)
+    aborts = [None] * len(lanes)
+    top = lag
+    while top < end and len(live):
+        count = min(m, end - top)
+        cols = slice(None) if len(live) == len(lanes) else live
         z = None
         if lag:
             lo, hi = top + 1 - lag, top + 1 - lag + count
             # Datum nodes (k <= 0) always use the stored analytic derivative.
             cut = min(max(lo, lag + 1), hi) if backward else hi
-            slope = np.concatenate(
-                (derivs[lo:cut], (states[cut:hi] - states[cut - 1 : hi - 1]) / dt)
-            )
-            z = states[lo:hi] + gain * slope
-        new, rhs = advance(states[top], z, count)
-        bad = np.flatnonzero(~np.isfinite(new).reshape(count, -1).all(axis=1))
-        keep = bad[0] if len(bad) else count
-        high = np.flatnonzero(_guard_values(new[:keep], scalar) > guard)
-        if len(high):
-            keep = high[0] + 1
-        if len(high) or len(bad):
-            abort_step = int(top - lag + 1 + (high[0] if len(high) else bad[0]))
-        states[top + 1 : top + 1 + keep] = new[:keep]
-        derivs[top + 1 : top + 1 + keep] = rhs[:keep]
-        top += keep
+            slope = np.concatenate((
+                derivs[lo:cut, cols],
+                (states[cut:hi, cols] - states[cut - 1 : hi - 1, cols]) / dt,
+            ))
+            z = states[lo:hi, cols] + gains[cols] * slope
+        new, rhs = advance(states[top, cols], z, count)
+        states[top + 1 : top + 1 + count, cols] = new
+        derivs[top + 1 : top + 1 + count, cols] = rhs
+        if not (np.isfinite(new).all() and _guard_values(new, scalar).max() <= guard):
+            # Some lane tripped: find each tripped lane's first offending node.
+            going = np.ones(len(live), dtype=bool)
+            for i, lane in enumerate(live):
+                bad = np.flatnonzero(~np.isfinite(new[:, i]).reshape(count, -1).all(axis=1))
+                keep = bad[0] if len(bad) else count
+                high = np.flatnonzero(_guard_values(new[:keep, i : i + 1], scalar)[:, 0] > guard)
+                if len(high):
+                    keep = high[0] + 1
+                if len(high) or len(bad):
+                    aborts[lane] = int(top - lag + 1 + (high[0] if len(high) else bad[0]))
+                    tops[lane] = int(top + keep)
+                    going[i] = False
+            live = live[going]
+        top += count
 
-    return _assemble(config, dt, states[lag : top + 1], derivs[lag : top + 1], abort_step,
-                     tol_low, tol_high, trailing_fraction, scalar)
+    return [
+        _assemble(lane, dt, states[lag : tops[i] + 1, i], derivs[lag : tops[i] + 1, i],
+                  aborts[i], tol_low, tol_high, trailing_fraction, scalar)
+        for i, lane in enumerate(lanes)
+    ]
 
 
 def _assemble(config, dt, states, derivs, abort_step,

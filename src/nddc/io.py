@@ -19,6 +19,7 @@ from .core import (
     SampledDatum,
     SimConfig,
     Trajectory,
+    integer,
 )
 from .diagnostics import IJReport, LyapunovSeries
 from .integrator import Mesh, aligned_t_end
@@ -48,9 +49,9 @@ def weights_from_dict(payload) -> WeightMatrix:
         return validate(np.asarray(payload["matrix"], dtype=float))
     spec = WeightSpec(
         kind=payload["kind"],
-        n=int(payload.get("n", 2)),
+        n=integer("n", payload.get("n", 2), minimum=1),
         min_off_diagonal=payload.get("min_off_diagonal"),
-        seed=int(payload.get("seed", 0)),
+        seed=integer("seed", payload.get("seed", 0), minimum=0),
     )
     return spec.build()
 
@@ -127,8 +128,8 @@ def config_to_dict(config: SimConfig) -> dict:
 
 def config_from_dict(payload: dict) -> SimConfig:
     model = ModelKind(payload["model"])
-    n = int(payload.get("n", 1 if model.is_scalar else 2))
-    d = int(payload.get("d", 1))
+    n = integer("n", payload.get("n", 1 if model.is_scalar else 2), minimum=1)
+    d = integer("d", payload.get("d", 1), minimum=1)
     tau = float(payload["tau"])
     weights = None
     if payload.get("weights") is not None:

@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Classification, ConstantDatum, ModelKind, SimConfig
-from .integrator import aligned_t_end, run
+from .core import Classification, ConstantDatum, ModelKind, SimConfig, integer
+from .integrator import aligned_t_end, run, run_lanes
 
 #: Critical delay of the no-anticipation two-agent reaction equation.
 CRITICAL_TAU_NO_ANTICIPATION = math.pi / 4.0
@@ -58,15 +58,26 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
     )
 
 
-def _eval_cell(args) -> tuple[str, float, float]:
-    settings, lam, tau = args
-    traj = run(cell_config(settings, lam, tau),
-               tol_low=settings.tol_low, tol_high=settings.tol_high)
-    return (
-        traj.classification.value,
-        traj.evidence.final_dx,
-        traj.evidence.trailing_ratio,
-    )
+def _eval_row(args) -> list[tuple[str, float, float]]:
+    # One tau row of a grid: every lambda is a lane of one batched run.
+    settings, lam_values, tau = args
+    trajs = run_lanes(cell_config(settings, 0.0, tau), lam_values,
+                      tol_low=settings.tol_low, tol_high=settings.tol_high)
+    return [
+        (traj.classification.value, traj.evidence.final_dx, traj.evidence.trailing_ratio)
+        for traj in trajs
+    ]
+
+
+def _pool_size(workers: Optional[int]) -> int:
+    if workers is not None:
+        return integer("workers", workers, minimum=1)
+    raw = os.environ.get("NDDC_THREADS", "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"NDDC_THREADS must be an integer, got {raw!r}") from None
+    return integer("NDDC_THREADS", value, minimum=1)
 
 
 @dataclass
@@ -116,24 +127,22 @@ def grid_sweep(
 ) -> StabilityGrid:
     """Run one simulation per (lambda, tau) cell and classify it.
 
-    Cells are independent jobs merged deterministically by index, so parallel
-    and serial sweeps produce identical grids. Parallelism is capped by the
-    NDDC_THREADS environment variable when ``workers`` is not given.
+    Each tau row is one batched run whose lanes are the lambda values (see
+    ``run_lanes``); rows are independent jobs merged deterministically by
+    index, so parallel and serial sweeps produce identical grids. ``workers``,
+    or the NDDC_THREADS environment variable when it is not given, caps how
+    many rows run at once; either must be an integer >= 1.
     """
     lam_values = np.asarray(lam_values, dtype=float)
     tau_values = np.asarray(tau_values, dtype=float)
-    if workers is None:
-        workers = int(os.environ.get("NDDC_THREADS", "1"))
-    jobs = [
-        (settings, float(lam), float(tau))
-        for tau in tau_values
-        for lam in lam_values
-    ]
+    jobs = [(settings, lam_values, float(tau)) for tau in tau_values]
+    workers = min(_pool_size(workers), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_cell, jobs, chunksize=8))
+            rows = list(pool.map(_eval_row, jobs))
     else:
-        results = [_eval_cell(job) for job in jobs]
+        rows = [_eval_row(job) for job in jobs]
+    results = [cell for row in rows for cell in row]
 
     shape = (len(tau_values), len(lam_values))
     raster = np.array([r[0] for r in results], dtype=object).reshape(shape)

@@ -89,6 +89,14 @@ def test_sweep_writes_grid(tmp_path):
     assert (out / "grid.json").exists()
 
 
+def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NDDC_THREADS", "abc")
+    code = main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
+                 "--tau-range", "0:0.3:2", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "NDDC_THREADS" in capsys.readouterr().err
+
+
 def test_figure_preset_runs(tmp_path):
     out = tmp_path / "out"
     code = main(["figure", "fig1", "--out", str(out)])

@@ -177,3 +177,9 @@ class TestSimConfig:
     def test_infinite_t_end_rejected(self):
         with pytest.raises(ValueError, match="t_end"):
             self._config(t_end=float("inf"))
+
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_fractional_sizes_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            self._config(**{key: 1.5})
+        assert getattr(self._config(**{key: 1.0}), key) == 1

@@ -26,6 +26,7 @@ from nddc.io import (
     parse_config,
     read_manifest,
     save_weights,
+    weights_from_dict,
     write_grid_csv,
     write_grid_json,
     write_ij_csv,
@@ -86,6 +87,15 @@ class TestWeightsJson:
         path.write_text(json.dumps({"kind": "uniform", "n": 3}))
         assert load_weights(path).weights[0, 1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("key,value", [("n", 3.5), ("seed", 1.5)])
+    def test_spec_fractions_not_truncated(self, key, value):
+        payload = {"kind": "random-symmetric-bistochastic", "n": 3, "seed": 1}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            weights_from_dict({**payload, key: value})
+        whole = weights_from_dict({**payload, key: float(int(value))})
+        assert np.array_equal(whole.weights, weights_from_dict(
+            {**payload, key: int(value)}).weights)
+
 
 class TestDatumJson:
     def test_round_trips(self):
@@ -143,6 +153,15 @@ class TestParseConfig:
             config_from_dict(payload)
         with pytest.raises(ValueError, match="steps_per_delay"):
             config_from_dict({**payload, "t_end": 5.0})
+
+    @pytest.mark.parametrize("key,value", [("n", 3.7), ("d", 1.9)])
+    def test_fractional_sizes_not_truncated(self, key, value):
+        # int() would turn {"n": 3.7, "d": 1.9} into a 3 x 1 system.
+        payload = {"model": "transmission", "tau": 0.25, "n": 4, "d": 2}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            config_from_dict({**payload, key: value})
+        cfg = config_from_dict({**payload, key: float(int(value))})
+        assert getattr(cfg, key) == int(value)
 
     def test_config_dict_round_trip(self):
         cfg, _ = _small_run()

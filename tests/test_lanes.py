@@ -1,0 +1,101 @@
+"""Batched runs: every lane of run_lanes() equals the run of its own configuration."""
+
+import warnings
+from dataclasses import astuple, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nddc.core import (
+    Classification,
+    ConstantDatum,
+    DerivativeMode,
+    LinearDatum,
+    ModelKind,
+    SimConfig,
+)
+from nddc.integrator import run, run_lanes
+from nddc.weights import make_uniform
+
+GAP_MODELS = [ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TWO_AGENT_REACTION]
+
+
+def assert_same_run(lane, alone):
+    assert np.array_equal(lane.states, alone.states, equal_nan=True)
+    assert np.array_equal(lane.derivatives, alone.derivatives, equal_nan=True)
+    assert np.array_equal(lane.diameters, alone.diameters, equal_nan=True)
+    assert lane.classification is alone.classification
+    # Evidence fields are floats, None or bools; a NaN trailing ratio equals NaN.
+    for got, want in zip(astuple(lane.evidence), astuple(alone.evidence)):
+        assert got == want or (got != got and want != want)
+    assert lane.evidence.abort_step == alone.evidence.abort_step
+
+
+@st.composite
+def lane_batches(draw):
+    model = draw(st.sampled_from(GAP_MODELS))
+    tau = draw(st.sampled_from([0.0, 1.0, 1.0])) * draw(st.floats(0.05, 1.0))
+    m = draw(st.sampled_from([1, 2, 5, 16, 32]))
+    # Up to 40 delays, often ending inside a block.
+    steps = draw(st.integers(1, 40 * m + 7))
+    # Small gains converge; large ones make lambda*tau >> 1 and the gap grows
+    # through the guard after a few delays, at a node inside a block.
+    lams = draw(st.lists(st.one_of(st.floats(0.0, 0.5), st.floats(2.0, 60.0)),
+                         min_size=1, max_size=6))
+    start = draw(st.sampled_from([1.0, -3.0, 1e300]))
+    slope = draw(st.sampled_from([0.0, 0.7, -1e8, 1e308]))
+    config = SimConfig(
+        model=model, tau=tau, lam=0.0, datum=LinearDatum([[start]], [[slope]]),
+        n=1, d=1, steps_per_delay=m, t_end=steps * (tau / m if tau > 0 else 1.0 / m),
+        derivative_mode=draw(st.sampled_from(list(DerivativeMode))),
+    )
+    return config, lams
+
+
+# Datums near the float range overflow inside a lane's first block, as they do
+# in a run of its own.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(lane_batches())
+def test_lanes_match_single_runs(batch):
+    config, lams = batch
+    lanes = run_lanes(config, lams)
+    assert len(lanes) == len(lams)
+    for lam, lane in zip(lams, lanes):
+        assert lane.config.lam == lam
+        assert_same_run(lane, run(replace(config, lam=lam)))
+
+
+@pytest.mark.parametrize("model", GAP_MODELS)
+def test_mid_block_aborts_leave_other_lanes_running(model):
+    config = SimConfig(model=model, tau=0.5, lam=0.0, datum=ConstantDatum([[1.0]]),
+                       n=1, d=1, steps_per_delay=16, t_end=40.0)
+    lams = [0.0, 0.3, 6.0, 1e5, 0.1]
+    # A frozen lane computes nothing more, so it cannot overflow later.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lanes = run_lanes(config, lams)
+    aborted = [lane.evidence.abort_step for lane in lanes if lane.evidence.aborted]
+    assert len(aborted) == 2 and all(step % 16 for step in aborted)
+    assert lanes[0].classification is Classification.CONVERGED
+    assert lanes[0].n_steps == 1280
+    for lam, lane in zip(lams, lanes):
+        assert_same_run(lane, run(replace(config, lam=lam)))
+
+
+def test_matrix_models_take_one_lane():
+    config = SimConfig(model=ModelKind.REACTION, tau=0.2, lam=0.5,
+                       datum=ConstantDatum([[0.0], [1.0], [2.0]]), n=3, d=1,
+                       steps_per_delay=4, t_end=2.0, weights=make_uniform(3))
+    assert_same_run(run_lanes(config, [0.5])[0], run(config))
+    with pytest.raises(ValueError, match="one lane"):
+        run_lanes(config, [0.5, 1.0])
+
+
+def test_invalid_lane_rejected():
+    config = SimConfig(model=ModelKind.TWO_AGENT_REACTION, tau=0.2, lam=0.0,
+                       datum=ConstantDatum([[1.0]]), n=1, d=1, steps_per_delay=4, t_end=2.0)
+    with pytest.raises(ValueError, match="lambda"):
+        run_lanes(config, [0.5, float("nan")])

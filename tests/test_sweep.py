@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from nddc.core import Classification, ModelKind
+from nddc.integrator import run
 from nddc.models import react_two_agent_sufficient, trans_two_agent_stable
 from nddc.sweep import (
     CRITICAL_TAU_NO_ANTICIPATION,
     SweepSettings,
     analytic_overlays,
     boundary_bisect,
+    cell_config,
     grid_sweep,
 )
 
@@ -60,6 +62,38 @@ class TestGridSweep:
         ok = np.isnan(serial.trailing_ratio) & np.isnan(parallel.trailing_ratio)
         ok |= serial.trailing_ratio == parallel.trailing_ratio
         assert np.all(ok)
+
+    @pytest.mark.parametrize("model", [ModelKind.TWO_AGENT_REACTION,
+                                       ModelKind.TWO_AGENT_TRANSMISSION])
+    def test_rows_match_per_cell_runs(self, model):
+        # A tau row runs as one batch of lambda lanes; each cell must equal
+        # the run of its own configuration.
+        settings = SweepSettings(model=model, steps_per_delay=8, t_end=30.0)
+        lam_values = np.array([0.0, 0.4, 1.5, 3.0, 8.0])
+        tau_values = np.array([0.0, 0.15, 0.4, 0.75, 1.0])
+        grid = grid_sweep(settings, lam_values, tau_values, workers=1)
+        for i, tau in enumerate(tau_values):
+            for j, lam in enumerate(lam_values):
+                traj = run(cell_config(settings, lam, tau),
+                           tol_low=settings.tol_low, tol_high=settings.tol_high)
+                assert grid.raster[i, j] == traj.classification.value, (lam, tau)
+                assert grid.final_dx[i, j] == traj.evidence.final_dx
+                assert np.array_equal(grid.trailing_ratio[i, j],
+                                      traj.evidence.trailing_ratio, equal_nan=True)
+        assert {"converged", "diverged"} <= set(grid.raster.ravel())
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("NDDC_THREADS", value)
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, t_end=10.0)
+        with pytest.raises(ValueError, match="NDDC_THREADS"):
+            grid_sweep(settings, [0.0], [0.1])
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5])
+    def test_bad_worker_count_rejected(self, workers):
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, t_end=10.0)
+        with pytest.raises(ValueError, match="workers"):
+            grid_sweep(settings, [0.0], [0.1], workers=workers)
 
     def test_boundary_bracketed(self):
         settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, t_end=200.0)
