@@ -93,9 +93,11 @@ class WeightMatrix:
     """Nonnegative N x N communication weights plus validated structural flags.
 
     Flags are set by ``weights.validate``; constructors return matrices with
-    all five flags populated. ``row_stochastic`` refers to off-diagonal row
-    sums (the diagonal is ignored by the transmission model and cancels in the
-    reaction model), while ``bi_stochastic`` refers to full row and column sums.
+    all five flags populated, and ``SimConfig`` re-derives them for N-agent
+    models, so the flags of a hand-built matrix are never trusted.
+    ``row_stochastic`` refers to off-diagonal row sums (the diagonal is ignored
+    by the transmission model and cancels in the reaction model), while
+    ``bi_stochastic`` refers to full row and column sums.
     """
 
     weights: np.ndarray
@@ -186,16 +188,16 @@ class SampledDatum:
 Datum = Union[ConstantDatum, LinearDatum, SampledDatum]
 
 
-def integer(name: str, value, minimum: int) -> int:
+def integer(name: str, value, minimum: Optional[int] = None) -> int:
     """``value`` as an int, rejecting fractions rather than truncating them.
 
     Ints and integral floats are accepted (2.0 -> 2); anything else, or a
-    value below ``minimum``, raises ValueError naming ``name``.
+    value below ``minimum`` when one is given, raises ValueError naming ``name``.
     """
     if not (isinstance(value, numbers.Integral)
             or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
@@ -232,6 +234,15 @@ class SimConfig:
         self.d = integer("d", self.d, minimum=1)
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        # The seed is only a label in manifests; any integer, negative included.
+        self.seed = integer("seed", self.seed)
+        if self.weights is not None and not self.model.is_scalar:
+            # Re-derive the flags so a hand-built WeightMatrix is checked (square,
+            # finite, nonnegative) and its flags are true. Imported here because
+            # the weights module imports this one.
+            from .weights import validate
+
+            self.weights = validate(self.weights)
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,11 +26,6 @@ from .sweep import StabilityGrid
 from .weights import WeightMatrix, WeightSpec, validate
 
 TOOL_VERSION = "0.1.0"
-
-
-def fmt(x: float) -> str:
-    """17 significant digits: enough for exact float round trips."""
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +148,7 @@ def config_from_dict(payload: dict) -> SimConfig:
         weights=weights,
         derivative_mode=DerivativeMode(payload.get("derivative_mode",
                                                    DerivativeMode.BACKWARD_DIFFERENCE)),
-        seed=int(payload.get("seed", 0)),
+        seed=payload.get("seed", 0),
     )
 
 
@@ -184,39 +178,40 @@ def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
 
 # ---------------------------------------------------------------------------
 # CSV writers
+#
+# Tables are formatted a whole row at a time. "%.17g" gives the digits of
+# format(x, ".17g") for every double (nan, inf and -0 included): enough for
+# exact float round trips. Rows end in "\r\n" as csv.writer ends them, and no
+# field can hold a comma or a quote, so none is quoted.
+
+
+def _write_rows(path, header: str, template: str, rows) -> None:
+    """Write ``header``, then ``template % tuple(row)`` for each row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        fh.writelines(template % tuple(row) for row in rows)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Columns: time, per-agent coordinates, d_x, mean coordinates, argmax pair."""
-    n, d = traj.states.shape[1:]
+    nodes, n, d = traj.states.shape
     header = ["time"]
     header += [f"x_{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
     header += ["d_x"]
     header += [f"X_{k + 1}" for k in range(d)]
     header += ["argmax_i", "argmax_j"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in range(len(traj.times)):
-            record = [fmt(traj.times[row])]
-            record += [fmt(v) for v in traj.states[row].ravel()]
-            record.append(fmt(traj.diameters[row]))
-            record += [fmt(v) for v in traj.means[row]]
-            record += [str(int(traj.argmax_pairs[row, 0])),
-                       str(int(traj.argmax_pairs[row, 1]))]
-            writer.writerow(record)
+    block = np.column_stack((traj.times, traj.states.reshape(nodes, -1), traj.diameters,
+                             traj.means, traj.argmax_pairs))
+    template = ",".join(["%.17g"] * (n * d + d + 2)) + ",%d,%d\r\n"
+    _write_rows(path, ",".join(header) + "\r\n", template, block.tolist())
 
 
 def write_grid_csv(grid: StabilityGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "tau", "classification", "final_dx", "trailing_ratio"])
-        for i, tau in enumerate(grid.tau_values):
-            for j, lam in enumerate(grid.lam_values):
-                writer.writerow([
-                    fmt(lam), fmt(tau), grid.raster[i, j],
-                    fmt(grid.final_dx[i, j]), fmt(grid.trailing_ratio[i, j]),
-                ])
+    lams, taus = np.meshgrid(grid.lam_values, grid.tau_values)
+    columns = (lams, taus, grid.raster, grid.final_dx, grid.trailing_ratio)
+    _write_rows(path, "lambda,tau,classification,final_dx,trailing_ratio\r\n",
+                "%.17g,%.17g,%s,%.17g,%.17g\r\n",
+                zip(*(np.ravel(c).tolist() for c in columns)))
 
 
 def write_grid_json(grid: StabilityGrid, path) -> None:
@@ -237,25 +232,17 @@ def write_grid_json(grid: StabilityGrid, path) -> None:
 
 
 def write_lyapunov_csv(series: LyapunovSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "value", "decrement", "bound"])
-        writer.writerow([fmt(series.times[0]), fmt(series.values[0]), "", ""])
-        for k in range(len(series.decrements)):
-            writer.writerow([
-                fmt(series.times[k + 1]), fmt(series.values[k + 1]),
-                fmt(series.decrements[k]), fmt(series.bounds[k]),
-            ])
+    k = len(series.decrements)
+    first = "%.17g,%.17g,,\r\n" % (series.times[0], series.values[0])
+    block = np.column_stack((series.times[1 : k + 1], series.values[1 : k + 1],
+                             series.decrements, series.bounds))
+    _write_rows(path, "time,value,decrement,bound\r\n" + first,
+                "%.17g,%.17g,%.17g,%.17g\r\n", block.tolist())
 
 
 def write_ij_csv(report: IJReport, traj: Trajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "argmax_i", "argmax_j"])
-        for k in range(len(report.pairs)):
-            writer.writerow([fmt(traj.times[k]),
-                             str(int(report.pairs[k, 0])),
-                             str(int(report.pairs[k, 1]))])
+    block = np.column_stack((traj.times[: len(report.pairs)], report.pairs))
+    _write_rows(path, "time,argmax_i,argmax_j\r\n", "%.17g,%d,%d\r\n", block.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Domain-type tests: diameter, mean, datum construction, and config validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,13 @@ from nddc.core import (
     OpinionState,
     SampledDatum,
     SimConfig,
+    WeightMatrix,
     diameter,
     diameter_series,
     mean,
 )
+from nddc.integrator import run
+from nddc.weights import make_uniform
 
 
 def brute_force_diameter(values):
@@ -183,3 +188,20 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             self._config(**{key: 1.5})
         assert getattr(self._config(**{key: 1.0}), key) == 1
+
+    def test_hand_built_invalid_weights_rejected(self):
+        # Unchecked, these weights ran on the reaction model and "diverged" at step 1.
+        with pytest.raises(ValueError, match="non-finite"):
+            run(self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                             weights=WeightMatrix([[0.0, np.nan], [-1.0, 0.0]])))
+        with pytest.raises(ValueError, match="negative"):
+            self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                         weights=WeightMatrix([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_hand_built_valid_weights_accepted(self):
+        # A WeightMatrix built by hand has all-False flags until validated.
+        config = self._config(model="transmission", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                              weights=WeightMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        assert config.weights.row_stochastic and config.weights.irreducible
+        reference = run(replace(config, weights=make_uniform(2)))
+        assert np.array_equal(run(config).states, reference.states)

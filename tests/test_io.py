@@ -163,6 +163,14 @@ class TestParseConfig:
         cfg = config_from_dict({**payload, key: float(int(value))})
         assert getattr(cfg, key) == int(value)
 
+    def test_fractional_seed_not_truncated(self):
+        # int() turned {"seed": 3.7} into seed 3 in the config and its manifest.
+        payload = {"model": "two-agent-transmission", "tau": 0.25}
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            config_from_dict({**payload, "seed": 3.7})
+        assert config_from_dict({**payload, "seed": -1}).seed == -1
+        assert config_from_dict({**payload, "seed": 3.0}).seed == 3
+
     def test_config_dict_round_trip(self):
         cfg, _ = _small_run()
         rebuilt = config_from_dict(config_to_dict(cfg))
