@@ -191,11 +191,13 @@ Datum = Union[ConstantDatum, LinearDatum, SampledDatum]
 def integer(name: str, value, minimum: Optional[int] = None) -> int:
     """``value`` as an int, rejecting fractions rather than truncating them.
 
-    Ints and integral floats are accepted (2.0 -> 2); anything else, or a
-    value below ``minimum`` when one is given, raises ValueError naming ``name``.
+    Ints and integral floats are accepted (2.0 -> 2); anything else, a bool
+    included, or a value below ``minimum`` when one is given, raises
+    ValueError naming ``name``.
     """
-    if not (isinstance(value, numbers.Integral)
-            or (isinstance(value, float) and value.is_integer())):
+    # bool is an Integral: JSON true would otherwise count as 1.
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")

@@ -75,47 +75,52 @@ def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> 
 
 
 def _accumulate(x: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    # x(b+s) = x(b+s-1) + increment, added in node order as a per-step loop would.
-    return np.cumsum(np.concatenate((x[None], increments)), axis=0)[1:]
+    # x(b+s) = x(b+s-1) + increment, added in node order as a per-step loop
+    # would. Time is the third axis from the end: (count, N, d) or (L, count, N, d).
+    seeded = np.concatenate((x[..., None, :, :], increments), axis=-3)
+    return np.add.accumulate(seeded, axis=-3)[..., 1:, :, :]
 
 
 def _block_advance(config: SimConfig, dt: float, delayed: bool):
-    """The model's update over one block: advance(x, z, count) -> (states, rhs).
+    """The model's update over one block: advance(x, z, count, dt) -> (states, rhs).
 
     ``x`` holds the (L, N, d) states of the block's L lanes at its last
-    accepted node and ``z`` the anticipated delayed inputs
+    accepted node, ``z`` the anticipated delayed inputs
     x(k) + lam*tau*D(k), k = n+1-m, of the block's ``count`` steps, shape
-    (count, L, N, d) (None when tau = 0). Returns the next ``count`` states
-    and the right-hand sides recorded as their derivatives. Each lane is
-    computed with the same operations as a run of its own, and the N-agent
-    models take one lane.
+    (L, count, N, d) (None when tau = 0), and ``dt`` the lanes' steps, shape
+    (L, 1, 1, 1). Returns the next ``count`` states of each lane and the
+    right-hand sides recorded as their derivatives, both (L, count, N, d).
+    Each lane is computed with the same operations as a run of its own. The
+    N-agent models take one lane, whose step ``dt`` is fixed when the update
+    is built.
     """
     model = config.model
     if model.is_scalar:
         if not delayed:
             # Both gap equations reduce to x' = -2x; implicit Euler divides by 1 + 2 dt.
-            shrink = 1.0 / (1.0 + 2.0 * dt)
-
-            def advance(x, z, count):
-                factors = np.concatenate((x[None], np.full((count,) + x.shape, shrink)))
-                new = np.cumprod(factors, axis=0)[1:]
+            def advance(x, z, count, dt):
+                shrink = np.broadcast_to(1.0 / (1.0 + 2.0 * dt), (len(x), count) + x.shape[1:])
+                factors = np.concatenate((x[:, None], shrink), axis=1)
+                new = np.multiply.accumulate(factors, axis=1)[:, 1:]
                 return new, -2.0 * new
         elif model is ModelKind.TWO_AGENT_TRANSMISSION:
             # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt),
             # looped on Python floats lane by lane: per step that is far
             # cheaper than NumPy scalar arithmetic.
-            def advance(x, z, count):
-                new = np.empty_like(z)
-                for lane in range(len(x)):
-                    gap, column = float(x[lane, 0, 0]), []
-                    for anticipated in z[:, lane, 0, 0].tolist():
-                        gap = (gap - dt * anticipated) / (1.0 + dt)
+            def advance(x, z, count, dt):
+                columns = []
+                for step, gap, inputs in zip(dt.ravel().tolist(), x.ravel().tolist(),
+                                             z.reshape(len(x), count).tolist()):
+                    column, denominator = [], 1.0 + step
+                    for anticipated in inputs:
+                        gap = (gap - step * anticipated) / denominator
                         column.append(gap)
-                    new[:, lane, 0, 0] = column
+                    columns.append(column)
+                new = np.array(columns).reshape(z.shape)
                 return new, -z - new
         else:
             # x' = -2 z with z known: x(n+1) = x(n) - 2 dt z.
-            def advance(x, z, count):
+            def advance(x, z, count, dt):
                 return _accumulate(x, (-2.0 * dt) * z), -2.0 * z
         return advance
 
@@ -161,14 +166,14 @@ def _block_advance(config: SimConfig, dt: float, delayed: bool):
             rhs = _pairwise(w, z, z)
             return _accumulate(x, dt * rhs), rhs
 
-    def one_lane(x, z, count):
-        new, rhs = advance(x[0], None if z is None else z[:, 0], count)
-        return new[:, None], rhs[:, None]
+    def one_lane(x, z, count, dt):
+        new, rhs = advance(x[0], None if z is None else z[0], count)
+        return new[None], rhs[None]
     return one_lane
 
 
 def _guard_values(states: np.ndarray, scalar: bool) -> np.ndarray:
-    """The (count, L) values of a (count, L, N, d) block held against the guard."""
+    """The (L, count) values of an (L, count, N, d) block held against the guard."""
     if scalar:
         return np.abs(states[:, :, 0, 0])
     # Euclidean norm of per-coordinate ranges: an upper bound on the diameter
@@ -196,26 +201,34 @@ def run(
     is non-finite or whose opinion diameter exceeds DIVERGENCE_GUARD times
     max(1, d_x(0)); a node over the guard is recorded, a non-finite one is not.
     """
-    return run_lanes(config, [config.lam], tol_low, tol_high, trailing_fraction)[0]
+    return run_lanes([config], tol_low, tol_high, trailing_fraction)[0]
 
 
 def run_lanes(
-    config: SimConfig,
-    lams,
+    configs,
     tol_low: float = 1e-3,
     tol_high: float = 1e3,
     trailing_fraction: float = 0.2,
 ) -> list[Trajectory]:
-    """Run ``config`` once per lambda in ``lams``, every run a lane of one batch.
+    """Run every configuration in ``configs`` as a lane of one batch.
 
-    The lanes share the model, tau, mesh, horizon, datum and derivative mode
-    and advance in lockstep, each aborting on its own; trajectory i equals
-    ``run(replace(config, lam=lams[i]))`` bit for bit. Only the two-agent gap
-    models take more than one lane.
+    The lanes share the model, steps_per_delay, derivative mode, N and d;
+    they may differ in tau, lambda, t_end and the datum, which each lane
+    samples on its own mesh. Each lane carries its own step dt and gain
+    lam*(dt*m). With m shared, a delay block is m rows in every lane, so the
+    lanes advance block by block in lockstep, each aborting on its own and
+    leaving the batch at its own horizon; lanes at tau = 0 (an ODE step, no
+    history window) run as a second batch. Trajectory i equals
+    ``run(configs[i])`` bit for bit. Only the two-agent gap models take more
+    than one lane.
     """
-    lanes = [replace(config, lam=float(lam)) for lam in lams]
-    scalar = config.model.is_scalar
-    if scalar:
+    configs = list(configs)
+    if not configs:
+        return []
+    if len({(c.model, c.steps_per_delay, c.derivative_mode, c.n, c.d) for c in configs}) > 1:
+        raise ValueError("lanes must share the model, steps_per_delay, derivative mode, n and d")
+    config = configs[0]
+    if config.model.is_scalar:
         if config.d != 1:
             raise ValueError("two-agent reductions track a scalar gap; use d = 1")
         shape = (1, 1)
@@ -224,78 +237,121 @@ def run_lanes(
             raise ValueError("N-agent models need a weight matrix")
         if config.weights.n != config.n:
             raise ValueError("weight matrix size does not match n")
-        if len(lanes) != 1:
+        if len(configs) != 1:
             raise ValueError("N-agent models run one lane at a time")
         shape = (config.n, config.d)
-    mesh = Mesh.build(config.tau, config.steps_per_delay, config.t_end)
-    dt, m = mesh.step_size, mesh.steps_per_delay
-    datum_states, datum_derivs = config.datum.on_mesh(mesh.datum_times)
-    if datum_states.shape[1:] != shape:
-        raise ValueError(f"datum shape {datum_states.shape[1:]} does not match {shape}")
-    if not (np.isfinite(datum_states).all() and np.isfinite(datum_derivs).all()):
-        raise NonFiniteStateError("initial datum contains non-finite entries")
-    advance = _block_advance(config, dt, mesh.tau > 0)
+    meshes = [Mesh.build(c.tau, c.steps_per_delay, c.t_end) for c in configs]
+    trajs = [None] * len(configs)
+    for delayed in (True, False):
+        # Longest horizon first, so lanes that reach their horizon leave the
+        # batch from its end.
+        order = sorted((i for i, mesh in enumerate(meshes) if (mesh.tau > 0) is delayed),
+                       key=lambda i: -meshes[i].total_steps)
+        if order:
+            batch = _run_batch([configs[i] for i in order], [meshes[i] for i in order], shape,
+                               tol_low, tol_high, trailing_fraction)
+            for i, traj in zip(order, batch):
+                trajs[i] = traj
+    return trajs
 
-    # Row lag + k holds mesh node k of every lane; rows 0..lag hold the datum
-    # on [-tau, 0].
-    lag = len(datum_states) - 1
-    end = lag + mesh.total_steps
-    states = np.empty((end + 1, len(lanes)) + shape)
+
+def _run_batch(configs, meshes, shape, tol_low, tol_high, trailing_fraction) -> list[Trajectory]:
+    # The lanes of ``configs`` are all delayed or all at tau = 0, ordered by
+    # non-increasing horizon, and hold (N, d) = ``shape`` states.
+    config = configs[0]
+    scalar = config.model.is_scalar
+    datums = [c.datum.on_mesh(mesh.datum_times) for c, mesh in zip(configs, meshes)]
+    for datum_states, datum_derivs in datums:
+        if datum_states.shape[1:] != shape:
+            raise ValueError(f"datum shape {datum_states.shape[1:]} does not match {shape}")
+        if not (np.isfinite(datum_states).all() and np.isfinite(datum_derivs).all()):
+            raise NonFiniteStateError("initial datum contains non-finite entries")
+    m = config.steps_per_delay
+    advance = _block_advance(config, meshes[0].step_size, meshes[0].tau > 0)
+
+    # Row lag + k of a lane holds its mesh node k; rows 0..lag hold the datum
+    # on [-tau, 0]. Lane i ends at row ends[i].
+    lag = len(datums[0][0]) - 1
+    ends = [lag + mesh.total_steps for mesh in meshes]
+    states = np.empty((len(configs), ends[0] + 1) + shape)
     derivs = np.empty_like(states)
-    states[: lag + 1] = datum_states[:, None]
-    derivs[: lag + 1] = datum_derivs[:, None]
-    x0 = datum_states[-1]
-    if scalar:
-        guard = DIVERGENCE_GUARD * max(1.0, abs(float(x0[0, 0])))
-    else:
-        guard = DIVERGENCE_GUARD * max(1.0, float(diameter_series(x0[None])[0][0]))
+    states[:, : lag + 1] = np.stack([s for s, _ in datums])
+    derivs[:, : lag + 1] = np.stack([d for _, d in datums])
+    x0 = states[:, lag]
+    guards = DIVERGENCE_GUARD * np.maximum(
+        1.0, np.abs(x0[:, 0, 0]) if scalar else diameter_series(x0)[0])
+    # The block check holds every lane to the lowest guard (each lane's own
+    # when the lanes share their datum); only a block that trips it is searched
+    # lane by lane.
+    guard = guards.min()
+    dts = np.array([mesh.step_size for mesh in meshes])[:, None, None, None]
     # lam * tau on the mesh, one gain per lane.
-    gains = (np.array([lane.lam for lane in lanes]) * (dt * m))[:, None, None]
-    backward = config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
+    gains = np.array([c.lam for c in configs])[:, None, None, None] * (dts * m)
+    # Row k of ``slopes`` is the derivative D(k) the anticipation term reads:
+    # the datum's derivative for k <= 0, then the recorded right-hand side or,
+    # written once as each row is accepted, the backward difference.
+    backward = lag > 0 and config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
+    slopes = derivs
+    if backward:
+        slopes = np.empty_like(states)
+        slopes[:, : lag + 1] = derivs[:, : lag + 1]
 
-    # Lanes in ``live`` all stand at row ``top``; an aborted lane stops at its
-    # own last row and is computed no further.
-    live = np.arange(len(lanes))
-    tops = [end] * len(lanes)
-    aborts = [None] * len(lanes)
+    # Lanes in ``live`` all stand at row ``top``; a lane that aborted stops at
+    # its own last row and is computed no further.
+    live, cols = list(range(len(configs))), slice(None)
+    tops = ends[:]
+    aborts = [None] * len(configs)
     top = lag
-    while top < end and len(live):
-        count = min(m, end - top)
-        cols = slice(None) if len(live) == len(lanes) else live
+    while live:
+        count = min(m, ends[live[-1]] - top)
+        rows = slice(top + 1, top + 1 + count)
         z = None
         if lag:
             lo, hi = top + 1 - lag, top + 1 - lag + count
-            # Datum nodes (k <= 0) always use the stored analytic derivative.
-            cut = min(max(lo, lag + 1), hi) if backward else hi
-            slope = np.concatenate((
-                derivs[lo:cut, cols],
-                (states[cut:hi, cols] - states[cut - 1 : hi - 1, cols]) / dt,
-            ))
-            z = states[lo:hi, cols] + gains[cols] * slope
-        new, rhs = advance(states[top, cols], z, count)
-        states[top + 1 : top + 1 + count, cols] = new
-        derivs[top + 1 : top + 1 + count, cols] = rhs
-        if not (np.isfinite(new).all() and _guard_values(new, scalar).max() <= guard):
-            # Some lane tripped: find each tripped lane's first offending node.
-            going = np.ones(len(live), dtype=bool)
+            z = states[cols, lo:hi] + gains[cols] * slopes[cols, lo:hi]
+        step = dts[cols]
+        new, rhs = advance(states[cols, top], z, count, step)
+        states[cols, rows] = new
+        derivs[cols, rows] = rhs
+        if backward:
+            slopes[cols, rows] = (new - states[cols, top : top + count]) / step
+        # NaN fails the comparison, so this also catches non-finite nodes.
+        if not _guard_values(new, scalar).max() <= guard:
+            # Find each tripped lane's first offending node.
+            going = []
             for i, lane in enumerate(live):
-                bad = np.flatnonzero(~np.isfinite(new[:, i]).reshape(count, -1).all(axis=1))
+                bad = np.flatnonzero(~np.isfinite(new[i]).reshape(count, -1).all(axis=1))
                 keep = bad[0] if len(bad) else count
-                high = np.flatnonzero(_guard_values(new[:keep, i : i + 1], scalar)[:, 0] > guard)
+                high = np.flatnonzero(
+                    _guard_values(new[i : i + 1, :keep], scalar)[0] > guards[lane])
                 if len(high):
                     keep = high[0] + 1
                 if len(high) or len(bad):
                     aborts[lane] = int(top - lag + 1 + (high[0] if len(high) else bad[0]))
                     tops[lane] = int(top + keep)
-                    going[i] = False
-            live = live[going]
+                else:
+                    going.append(lane)
+            if going != live:
+                live, cols = going, _columns(going)
         top += count
+        # Lanes leave at their horizon, from the end: ends do not increase.
+        while live and ends[live[-1]] == top:
+            live.pop()
+            cols = _columns(live)
 
     return [
-        _assemble(lane, dt, states[lag : tops[i] + 1, i], derivs[lag : tops[i] + 1, i],
+        _assemble(c, mesh.step_size, states[i, lag : tops[i] + 1], derivs[i, lag : tops[i] + 1],
                   aborts[i], tol_low, tol_high, trailing_fraction, scalar)
-        for i, lane in enumerate(lanes)
+        for i, (c, mesh) in enumerate(zip(configs, meshes))
     ]
+
+
+def _columns(live: list) -> slice | np.ndarray:
+    # The lane index of the (increasing) live lanes: a plain slice while they
+    # are lanes 0..k-1, as they stay while lanes leave from the end.
+    if not live or live[-1] == len(live) - 1:
+        return slice(len(live))
+    return np.array(live)
 
 
 def _assemble(config, dt, states, derivs, abort_step,

@@ -11,10 +11,20 @@ from typing import Optional
 import numpy as np
 
 from .core import Classification, ConstantDatum, ModelKind, SimConfig, integer
-from .integrator import aligned_t_end, run, run_lanes
+# ``run`` stays importable from this module for callers that time single cells.
+from .integrator import aligned_t_end, run, run_lanes  # noqa: F401
 
 #: Critical delay of the no-anticipation two-agent reaction equation.
 CRITICAL_TAU_NO_ANTICIPATION = math.pi / 4.0
+
+#: Bisection steps resolved per batched round (2**k - 1 lanes), from
+#: measurement. A reaction-gap block costs mostly NumPy dispatch, so 7 lanes
+#: cost little more than one; the transmission gap loops per lane on Python
+#: floats, so 7 lanes cost about 3.4 times one and every speculative lane that
+#: comes back Inconclusive adds a full retry. Over the criterion 1 and 4
+#: landmarks, k = 3 was fastest for reaction (2 and 3 tied, 4 slower) and
+#: k = 1 for transmission (k = 2 and 3 were 1.3 and 1.7 times slower).
+BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 3, ModelKind.TWO_AGENT_TRANSMISSION: 1}
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,7 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
 def _eval_row(args) -> list[tuple[str, float, float]]:
     # One tau row of a grid: every lambda is a lane of one batched run.
     settings, lam_values, tau = args
-    trajs = run_lanes(cell_config(settings, 0.0, tau), lam_values,
+    trajs = run_lanes([cell_config(settings, float(lam), tau) for lam in lam_values],
                       tol_low=settings.tol_low, tol_high=settings.tol_high)
     return [
         (traj.classification.value, traj.evidence.final_dx, traj.evidence.trailing_ratio)
@@ -162,21 +172,37 @@ def grid_sweep(
     )
 
 
-def _classify_side(settings: SweepSettings, lam: float, tau: float) -> Classification:
-    # Inconclusive cells get one retry at doubled resolution and horizon, then
-    # count as the diverged side (conservative for the stable region).
-    traj = run(cell_config(settings, lam, tau),
-               tol_low=settings.tol_low, tol_high=settings.tol_high)
-    if traj.classification is not Classification.INCONCLUSIVE:
-        return traj.classification
-    base_t = settings.t_end if settings.t_end is not None else max(50.0, 40.0 * tau)
-    retry = cell_config(settings, lam, tau,
-                        steps_per_delay=2 * settings.steps_per_delay,
-                        t_end=2.0 * base_t)
-    traj = run(retry, tol_low=settings.tol_low, tol_high=settings.tol_high)
-    if traj.classification is Classification.CONVERGED:
-        return Classification.CONVERGED
-    return Classification.DIVERGED
+def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]:
+    # Converged or Diverged for each tau, the first runs as one batch of lanes.
+    # Inconclusive cells get one retry at doubled resolution and horizon, all
+    # retries as a second batch, then count as the diverged side
+    # (conservative for the stable region).
+    tols = dict(tol_low=settings.tol_low, tol_high=settings.tol_high)
+    labels = [traj.classification for traj in
+              run_lanes([cell_config(settings, lam, tau) for tau in taus], **tols)]
+    retry = [i for i, label in enumerate(labels) if label is Classification.INCONCLUSIVE]
+    configs = []
+    for i in retry:
+        base_t = settings.t_end if settings.t_end is not None else max(50.0, 40.0 * taus[i])
+        configs.append(cell_config(settings, lam, taus[i],
+                                   steps_per_delay=2 * settings.steps_per_delay,
+                                   t_end=2.0 * base_t))
+    for i, traj in zip(retry, run_lanes(configs, **tols)):
+        converged = traj.classification is Classification.CONVERGED
+        labels[i] = Classification.CONVERGED if converged else Classification.DIVERGED
+    return labels
+
+
+def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
+    # The 2**depth - 1 midpoints the next ``depth`` bisection steps from
+    # [lo, hi] could visit, breadth first: node j's child after a Converged
+    # verdict is node 2j + 1, after a Diverged one node 2j + 2.
+    brackets = [(lo, hi)]
+    for j in range(2 ** (depth - 1) - 1):
+        a, b = brackets[j]
+        mid = 0.5 * (a + b)
+        brackets += [(mid, b), (a, mid)]
+    return [0.5 * (a + b) for a, b in brackets]
 
 
 def boundary_bisect(
@@ -189,22 +215,33 @@ def boundary_bisect(
     """Bisect in tau for the stability threshold at fixed lambda.
 
     Requires a valid bracket: Converged at tau_low, Diverged at tau_high
-    (each judged by a full run). Returns the bracket midpoint after the given
-    number of iterations.
+    (each judged by a full run; both ends run as one batch). Returns the
+    bracket midpoint after the given number of iterations, an integer >= 0.
+
+    Each round batches the midpoints the next BISECT_DEPTH[model] steps could
+    visit (see ``run_lanes``) and then walks them with the same arithmetic as
+    a step-by-step bisection, so the result is the same double.
     """
+    iterations = integer("iterations", iterations, minimum=0)
     if not tau_low < tau_high:
         raise ValueError("need tau_low < tau_high")
-    if _classify_side(settings, lam, tau_low) is not Classification.CONVERGED:
+    low, high = _classify(settings, lam, [tau_low, tau_high])
+    if low is not Classification.CONVERGED:
         raise ValueError(f"tau_low = {tau_low} does not classify as Converged")
-    if _classify_side(settings, lam, tau_high) is not Classification.DIVERGED:
+    if high is not Classification.DIVERGED:
         raise ValueError(f"tau_high = {tau_high} does not classify as Diverged")
     lo, hi = float(tau_low), float(tau_high)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if _classify_side(settings, lam, mid) is Classification.CONVERGED:
-            lo = mid
-        else:
-            hi = mid
+    while iterations:
+        depth = min(BISECT_DEPTH[settings.model], iterations)
+        labels = _classify(settings, lam, _midpoint_tree(lo, hi, depth))
+        node = 0
+        for _ in range(depth):
+            mid = 0.5 * (lo + hi)
+            if labels[node] is Classification.CONVERGED:
+                lo, node = mid, 2 * node + 1
+            else:
+                hi, node = mid, 2 * node + 2
+        iterations -= depth
     return 0.5 * (lo + hi)
 
 

@@ -189,6 +189,12 @@ class TestSimConfig:
             self._config(**{key: 1.5})
         assert getattr(self._config(**{key: 1.0}), key) == 1
 
+    @pytest.mark.parametrize("key", ["steps_per_delay", "n", "d", "seed"])
+    def test_bool_sizes_rejected(self, key):
+        # bool is an Integral, so True used to pass as 1: m = 1 or d = 1.
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got True"):
+            self._config(**{key: True})
+
     def test_hand_built_invalid_weights_rejected(self):
         # Unchecked, these weights ran on the reaction model and "diverged" at step 1.
         with pytest.raises(ValueError, match="non-finite"):

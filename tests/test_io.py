@@ -171,6 +171,13 @@ class TestParseConfig:
         assert config_from_dict({**payload, "seed": -1}).seed == -1
         assert config_from_dict({**payload, "seed": 3.0}).seed == 3
 
+    @pytest.mark.parametrize("key", ["steps_per_delay", "n", "d", "seed"])
+    def test_bool_sizes_rejected(self, key):
+        # JSON true used to run as 1, silently a different system.
+        payload = {"model": "transmission", "tau": 0.25, "n": 3, "d": 2}
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got True"):
+            config_from_dict({**payload, key: True})
+
     def test_config_dict_round_trip(self):
         cfg, _ = _small_run()
         rebuilt = config_from_dict(config_to_dict(cfg))

@@ -61,11 +61,52 @@ def lane_batches(draw):
 @given(lane_batches())
 def test_lanes_match_single_runs(batch):
     config, lams = batch
-    lanes = run_lanes(config, lams)
+    lanes = run_lanes([replace(config, lam=lam) for lam in lams])
     assert len(lanes) == len(lams)
     for lam, lane in zip(lams, lanes):
         assert lane.config.lam == lam
         assert_same_run(lane, run(replace(config, lam=lam)))
+
+
+@st.composite
+def mixed_lanes(draw):
+    # Lanes share the model, m and derivative mode and differ in tau, lambda
+    # and the horizon, so they end at different rows; large gains abort inside
+    # a block while other lanes run on. Some batches also differ in the datum,
+    # and with it in the divergence guard.
+    model = draw(st.sampled_from(GAP_MODELS))
+    m = draw(st.sampled_from([1, 2, 5, 16, 32]))
+    mode = draw(st.sampled_from(list(DerivativeMode)))
+    datums = st.builds(lambda start, slope: LinearDatum([[start]], [[slope]]),
+                       st.sampled_from([1.0, -3.0, 1e300]),
+                       st.sampled_from([0.0, 0.7, -1e8, 1e308]))
+    datum = draw(datums)
+    shared = draw(st.booleans())
+    configs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if not shared:
+            datum = draw(datums)
+        tau = draw(st.sampled_from([0.0, 1.0, 1.0])) * draw(st.floats(0.05, 1.0))
+        steps = draw(st.integers(1, 40 * m + 7))
+        configs.append(SimConfig(
+            model=model, tau=tau, datum=datum, n=1, d=1, steps_per_delay=m,
+            lam=draw(st.one_of(st.floats(0.0, 0.5), st.floats(2.0, 60.0))),
+            t_end=steps * (tau / m if tau > 0 else 1.0 / m), derivative_mode=mode,
+        ))
+    return configs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(mixed_lanes())
+def test_lanes_differing_in_tau_match_single_runs(configs):
+    lanes = run_lanes(configs)
+    assert len(lanes) == len(configs)
+    for config, lane in zip(configs, lanes):
+        assert lane.config is config
+        alone = run(config)
+        assert np.array_equal(lane.times, alone.times)
+        assert_same_run(lane, alone)
 
 
 @pytest.mark.parametrize("model", GAP_MODELS)
@@ -76,7 +117,7 @@ def test_mid_block_aborts_leave_other_lanes_running(model):
     # A frozen lane computes nothing more, so it cannot overflow later.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lanes = run_lanes(config, lams)
+        lanes = run_lanes([replace(config, lam=lam) for lam in lams])
     aborted = [lane.evidence.abort_step for lane in lanes if lane.evidence.aborted]
     assert len(aborted) == 2 and all(step % 16 for step in aborted)
     assert lanes[0].classification is Classification.CONVERGED
@@ -89,13 +130,24 @@ def test_matrix_models_take_one_lane():
     config = SimConfig(model=ModelKind.REACTION, tau=0.2, lam=0.5,
                        datum=ConstantDatum([[0.0], [1.0], [2.0]]), n=3, d=1,
                        steps_per_delay=4, t_end=2.0, weights=make_uniform(3))
-    assert_same_run(run_lanes(config, [0.5])[0], run(config))
+    assert_same_run(run_lanes([config])[0], run(config))
     with pytest.raises(ValueError, match="one lane"):
-        run_lanes(config, [0.5, 1.0])
+        run_lanes([config, replace(config, lam=1.0)])
 
 
 def test_invalid_lane_rejected():
     config = SimConfig(model=ModelKind.TWO_AGENT_REACTION, tau=0.2, lam=0.0,
                        datum=ConstantDatum([[1.0]]), n=1, d=1, steps_per_delay=4, t_end=2.0)
     with pytest.raises(ValueError, match="lambda"):
-        run_lanes(config, [0.5, float("nan")])
+        run_lanes([replace(config, lam=0.5), replace(config, lam=float("nan"))])
+
+
+def test_lanes_must_share_model_and_steps():
+    config = SimConfig(model=ModelKind.TWO_AGENT_REACTION, tau=0.2, lam=0.0,
+                       datum=ConstantDatum([[1.0]]), n=1, d=1, steps_per_delay=4, t_end=2.0)
+    for other in (replace(config, steps_per_delay=8),
+                  replace(config, model="two-agent-transmission"),
+                  replace(config, derivative_mode=DerivativeMode.STORED_RHS)):
+        with pytest.raises(ValueError, match="lanes must share"):
+            run_lanes([config, other])
+    assert run_lanes([]) == []

@@ -18,6 +18,43 @@ from nddc.sweep import (
 )
 
 
+def sequential_bisect(settings, lam, tau_low, tau_high, iterations):
+    """Step-by-step bisection, one run per midpoint: (tau*, Inconclusive retries)."""
+    retries = []
+
+    def classify_side(tau):
+        # An Inconclusive cell gets one retry at doubled resolution and
+        # horizon, then counts as the diverged side.
+        traj = run(cell_config(settings, lam, tau),
+                   tol_low=settings.tol_low, tol_high=settings.tol_high)
+        if traj.classification is not Classification.INCONCLUSIVE:
+            return traj.classification
+        retries.append(tau)
+        base_t = settings.t_end if settings.t_end is not None else max(50.0, 40.0 * tau)
+        retry = cell_config(settings, lam, tau,
+                            steps_per_delay=2 * settings.steps_per_delay,
+                            t_end=2.0 * base_t)
+        traj = run(retry, tol_low=settings.tol_low, tol_high=settings.tol_high)
+        if traj.classification is Classification.CONVERGED:
+            return Classification.CONVERGED
+        return Classification.DIVERGED
+
+    if not tau_low < tau_high:
+        raise ValueError("need tau_low < tau_high")
+    if classify_side(tau_low) is not Classification.CONVERGED:
+        raise ValueError(f"tau_low = {tau_low} does not classify as Converged")
+    if classify_side(tau_high) is not Classification.DIVERGED:
+        raise ValueError(f"tau_high = {tau_high} does not classify as Diverged")
+    lo, hi = float(tau_low), float(tau_high)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if classify_side(mid) is Classification.CONVERGED:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), len(retries)
+
+
 class TestGridSweep:
     def test_zero_delay_row_converges(self):
         settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION)
@@ -124,6 +161,45 @@ class TestBoundaryBisect:
             boundary_bisect(settings, lam=0.0, tau_low=1.0, tau_high=1.2)
         with pytest.raises(ValueError):
             boundary_bisect(settings, lam=0.0, tau_low=0.5, tau_high=0.3)
+
+    @pytest.mark.parametrize("model,lam,tau_low,tau_high", [
+        (ModelKind.TWO_AGENT_REACTION, 0.0, 0.6, 0.95),
+        (ModelKind.TWO_AGENT_REACTION, 0.25, 0.6, 1.1),
+        (ModelKind.TWO_AGENT_REACTION, 0.0, 0.0, 0.95),
+        (ModelKind.TWO_AGENT_TRANSMISSION, 1.0, 0.5, 1.6),
+        (ModelKind.TWO_AGENT_TRANSMISSION, 2.0, 0.25, 0.8),
+    ])
+    @pytest.mark.parametrize("iterations", [0, 1, 7])
+    def test_batched_rounds_match_sequential_bisection(self, model, lam, tau_low,
+                                                       tau_high, iterations):
+        # Rounds run the midpoints the next steps could visit as one batch; the
+        # threshold must be the same double as a step-by-step bisection.
+        settings = SweepSettings(model=model, steps_per_delay=8, t_end=60.0)
+        want, retries = sequential_bisect(settings, lam, tau_low, tau_high, iterations)
+        assert boundary_bisect(settings, lam, tau_low, tau_high, iterations) == want
+        if iterations == 7:
+            assert retries > 0
+
+    @pytest.mark.parametrize("tau_low,tau_high", [
+        (0.5, 0.3), (0.7, 0.7), (float("nan"), 0.9), (-0.1, 0.9),
+        (1.0, 1.2), (0.1, 0.3), (0.9, 0.95),
+    ])
+    def test_invalid_brackets_raise_sequential_errors(self, tau_low, tau_high):
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, steps_per_delay=8,
+                                 t_end=60.0)
+        with pytest.raises(ValueError) as want:
+            sequential_bisect(settings, 0.0, tau_low, tau_high, 4)
+        with pytest.raises(ValueError) as got:
+            boundary_bisect(settings, 0.0, tau_low, tau_high, 4)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("iterations", [-1, 2.5, "3", True])
+    def test_bad_iteration_count_rejected(self, iterations):
+        # -1 used to return the bracket midpoint and 2.5 a bare TypeError.
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, steps_per_delay=8,
+                                 t_end=60.0)
+        with pytest.raises(ValueError, match="iterations must be"):
+            boundary_bisect(settings, 0.0, 0.6, 0.95, iterations)
 
     def test_transmission_boundary_monotone(self):
         taus = {}
