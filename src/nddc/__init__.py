@@ -15,7 +15,7 @@ from .core import (
     diameter,
     mean,
 )
-from .integrator import Mesh, refine_oracle, run, run_lanes
+from .integrator import Mesh, classify_lanes, refine_oracle, run, run_lanes
 from .weights import (
     WeightSpec,
     gamma,
@@ -41,6 +41,7 @@ __all__ = [
     "Trajectory",
     "WeightMatrix",
     "WeightSpec",
+    "classify_lanes",
     "diameter",
     "gamma",
     "make_random_row_stochastic",

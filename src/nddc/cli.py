@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, harness, io, presets, sweep
-from .core import ModelKind
+from .core import ModelKind, integer
 from .integrator import run as run_sim
 from .weights import WeightSpec, validate
 
@@ -127,9 +127,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_axis(text: str) -> np.ndarray:
-    lo, hi, count = text.split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+def _parse_axis(flag: str, text: str) -> np.ndarray:
+    try:
+        lo, hi, count = (float(part) for part in text.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} must be LO:HI:N, got {text!r}") from None
+    return np.linspace(lo, hi, integer(f"N of {flag}", count, minimum=1))
 
 
 def _cmd_sweep(args) -> int:
@@ -138,8 +141,8 @@ def _cmd_sweep(args) -> int:
         steps_per_delay=args.steps_per_delay or 32,
         t_end=args.t_end,
     )
-    grid = sweep.grid_sweep(settings, _parse_axis(args.lambda_range),
-                            _parse_axis(args.tau_range))
+    grid = sweep.grid_sweep(settings, _parse_axis("--lambda-range", args.lambda_range),
+                            _parse_axis("--tau-range", args.tau_range))
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_grid_csv(grid, args.out / "grid.csv")
     io.write_grid_json(grid, args.out / "grid.json")

@@ -428,20 +428,3 @@ def classify_series(
         return Classification.CONVERGED, evidence
     return Classification.INCONCLUSIVE, evidence
 
-
-def classify(
-    traj: Trajectory,
-    tol_low: float = 1e-3,
-    tol_high: float = 1e3,
-    trailing_fraction: float = 0.2,
-) -> Classification:
-    """Re-derive the classification of a completed trajectory."""
-    result, _ = classify_series(
-        traj.diameters,
-        aborted=traj.evidence.aborted,
-        abort_step=traj.evidence.abort_step,
-        tol_low=tol_low,
-        tol_high=tol_high,
-        trailing_fraction=trailing_fraction,
-    )
-    return result

@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ConstantDatum, ModelKind, SimConfig, Trajectory
+from .core import ConstantDatum, ModelKind, SimConfig, Trajectory, integer
 from .integrator import aligned_t_end, run
 from .weights import make_random_row_stochastic, make_random_symmetric_bistochastic
 
@@ -114,20 +114,22 @@ def _evaluate(theorem: str, config: SimConfig, seed: int) -> TheoremRun:
     )
 
 
+def _suite(theorem: str, make, count: int, base_seed: int, t_end: float) -> Iterator[TheoremRun]:
+    # ``count`` is checked here, when the suite is asked for, not at its first instance.
+    count = integer("instance count", count, minimum=1)
+    return (_evaluate(theorem, make(base_seed + k, t_end), base_seed + k) for k in range(count))
+
+
 def iter_transmission_suite(
     count: int = 50, base_seed: int = 0, t_end: float = 100.0
 ) -> Iterator[TheoremRun]:
-    for k in range(count):
-        seed = base_seed + k
-        yield _evaluate("transmission", transmission_instance(seed, t_end), seed)
+    return _suite("transmission", transmission_instance, count, base_seed, t_end)
 
 
 def iter_reaction_suite(
     count: int = 50, base_seed: int = 0, t_end: float = 100.0
 ) -> Iterator[TheoremRun]:
-    for k in range(count):
-        seed = base_seed + k
-        yield _evaluate("reaction", reaction_instance(seed, t_end), seed)
+    return _suite("reaction", reaction_instance, count, base_seed, t_end)
 
 
 def check_theorems(
@@ -136,7 +138,11 @@ def check_theorems(
     t_end: float = 100.0,
     report=None,
 ) -> bool:
-    """Run both suites, optionally printing a pass/fail table. True iff all pass."""
+    """Run both suites, optionally printing a pass/fail table. True iff all pass.
+
+    ``count`` instances per suite, an integer >= 1.
+    """
+    count = integer("instance count", count, minimum=1)
     all_ok = True
     if report:
         report(f"{'theorem':<14} {'seed':>5} {'N':>2} {'d':>2} {'tau':>7} "

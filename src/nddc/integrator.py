@@ -10,6 +10,7 @@ import numpy as np
 from .core import (
     DIVERGENCE_GUARD,
     Classification,
+    ClassificationEvidence,
     DerivativeMode,
     MeshAlignmentError,
     ModelKind,
@@ -74,54 +75,52 @@ def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> 
     return np.einsum("ij,...ijk->...ik", weights, diff)
 
 
-def _accumulate(x: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    # x(b+s) = x(b+s-1) + increment, added in node order as a per-step loop
-    # would. Time is the third axis from the end: (count, N, d) or (L, count, N, d).
-    seeded = np.concatenate((x[..., None, :, :], increments), axis=-3)
-    return np.add.accumulate(seeded, axis=-3)[..., 1:, :, :]
+def _scan(ufunc, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    # x(b+s) = ufunc(x(b+s-1), steps[s]), applied in node order as a per-step
+    # loop would: x holds the lanes' states (L, ...), steps (L, count, ...).
+    seeded = np.concatenate((x[:, None], steps), axis=1)
+    return ufunc.accumulate(seeded, axis=1)[:, 1:]
 
 
 def _block_advance(config: SimConfig, dt: float, delayed: bool):
-    """The model's update over one block: advance(x, z, count, dt) -> (states, rhs).
+    """The model's update over one block: advance(x, z, count, dt, rhs) -> (states, rhs).
 
-    ``x`` holds the (L, N, d) states of the block's L lanes at its last
-    accepted node, ``z`` the anticipated delayed inputs
-    x(k) + lam*tau*D(k), k = n+1-m, of the block's ``count`` steps, shape
-    (L, count, N, d) (None when tau = 0), and ``dt`` the lanes' steps, shape
-    (L, 1, 1, 1). Returns the next ``count`` states of each lane and the
-    right-hand sides recorded as their derivatives, both (L, count, N, d).
-    Each lane is computed with the same operations as a run of its own. The
-    N-agent models take one lane, whose step ``dt`` is fixed when the update
-    is built.
+    ``x`` holds the states of the block's L lanes at its last accepted node,
+    ``z`` the anticipated delayed inputs x(k) + lam*tau*D(k), k = n+1-m, of
+    the block's ``count`` steps (None when tau = 0), and ``dt`` the lanes'
+    steps. The two gap models hold one scalar per lane and node: ``x`` is
+    (L,), ``z`` (L, count) and ``dt`` (L, 1); the N-agent models take one
+    lane, x (1, N, d) and z (1, count, N, d), whose step ``dt`` is fixed when
+    the update is built. Returns the next ``count`` states of each lane and,
+    when ``rhs`` is true, the right-hand sides recorded as their derivatives
+    (else None), both shaped (L, count) or (1, count, N, d). Each lane is
+    computed with the same operations as a run of its own.
     """
     model = config.model
     if model.is_scalar:
         if not delayed:
             # Both gap equations reduce to x' = -2x; implicit Euler divides by 1 + 2 dt.
-            def advance(x, z, count, dt):
-                shrink = np.broadcast_to(1.0 / (1.0 + 2.0 * dt), (len(x), count) + x.shape[1:])
-                factors = np.concatenate((x[:, None], shrink), axis=1)
-                new = np.multiply.accumulate(factors, axis=1)[:, 1:]
-                return new, -2.0 * new
+            def advance(x, z, count, dt, rhs):
+                new = _scan(np.multiply, x, np.broadcast_to(1.0 / (1.0 + 2.0 * dt), (len(x), count)))
+                return new, -2.0 * new if rhs else None
         elif model is ModelKind.TWO_AGENT_TRANSMISSION:
             # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt),
             # looped on Python floats lane by lane: per step that is far
             # cheaper than NumPy scalar arithmetic.
-            def advance(x, z, count, dt):
+            def advance(x, z, count, dt, rhs):
                 columns = []
-                for step, gap, inputs in zip(dt.ravel().tolist(), x.ravel().tolist(),
-                                             z.reshape(len(x), count).tolist()):
+                for step, gap, inputs in zip(dt.ravel().tolist(), x.tolist(), z.tolist()):
                     column, denominator = [], 1.0 + step
                     for anticipated in inputs:
                         gap = (gap - step * anticipated) / denominator
                         column.append(gap)
                     columns.append(column)
-                new = np.array(columns).reshape(z.shape)
-                return new, -z - new
+                new = np.array(columns, dtype=float)
+                return new, -z - new if rhs else None
         else:
             # x' = -2 z with z known: x(n+1) = x(n) - 2 dt z.
-            def advance(x, z, count, dt):
-                return _accumulate(x, (-2.0 * dt) * z), -2.0 * z
+            def advance(x, z, count, dt, rhs):
+                return _scan(np.add, x, (-2.0 * dt) * z), -2.0 * z if rhs else None
         return advance
 
     weights = config.weights
@@ -141,41 +140,41 @@ def _block_advance(config: SimConfig, dt: float, delayed: bool):
             system = eye + dt * (np.diag(w.sum(axis=1)) - w)
         propagate = np.linalg.inv(system)
 
-        def advance(x, z, count):
+        def advance(x, z, count, rhs):
             new = np.empty((count,) + x.shape)
             for s in range(count):
                 x = x + dt * (propagate @ _pairwise(w, x, x))
                 new[s] = x
-            return new, _pairwise(w, new, new)
+            return new, _pairwise(w, new, new) if rhs else None
     elif model is ModelKind.TRANSMISSION:
         # (x_i(n+1) - x_i(n)) / dt = sum_j w_ij (z_j - x_i(n+1)); with
         # off-diagonal row sums equal to 1 the closed form is
         # x(n+1) = x(n) + dt/(1+dt) * sum_j w_ij (z_j - x_i(n)).
         gain = dt / (1.0 + dt)
 
-        def advance(x, z, count):
+        def advance(x, z, count, rhs):
             new = np.empty_like(z)
             for s in range(count):
                 x = x + gain * _pairwise(w, z[s], x)
                 new[s] = x
-            return new, _pairwise(w, z, new)
+            return new, _pairwise(w, z, new) if rhs else None
     else:
         # x_i' = sum_j w_ij (z_j - z_i): every term is known, so the implicit
         # scheme is a direct update; diagonal weights cancel in the differences.
-        def advance(x, z, count):
-            rhs = _pairwise(w, z, z)
-            return _accumulate(x, dt * rhs), rhs
+        def advance(x, z, count, rhs):
+            rates = _pairwise(w, z, z)
+            return _scan(np.add, x[None], (dt * rates)[None])[0], rates
 
-    def one_lane(x, z, count, dt):
-        new, rhs = advance(x[0], None if z is None else z[0], count)
-        return new[None], rhs[None]
+    def one_lane(x, z, count, dt, rhs):
+        new, rates = advance(x[0], None if z is None else z[0], count, rhs)
+        return new[None], None if rates is None else rates[None]
     return one_lane
 
 
-def _guard_values(states: np.ndarray, scalar: bool) -> np.ndarray:
-    """The (L, count) values of an (L, count, N, d) block held against the guard."""
-    if scalar:
-        return np.abs(states[:, :, 0, 0])
+def _guard_values(states: np.ndarray) -> np.ndarray:
+    """The (L, count) values of a block of states held against the guard."""
+    if states.ndim == 2:
+        return np.abs(states)
     # Euclidean norm of per-coordinate ranges: an upper bound on the diameter
     # within a factor sqrt(d), so the guard can only fire earlier than the
     # exact diameter would. The stacked product evaluates each row as np.dot.
@@ -220,9 +219,42 @@ def run_lanes(
     leaving the batch at its own horizon; lanes at tau = 0 (an ODE step, no
     history window) run as a second batch. Trajectory i equals
     ``run(configs[i])`` bit for bit. Only the two-agent gap models take more
-    than one lane.
+    than one lane. Callers that read only the verdicts use ``classify_lanes``,
+    which runs the same kernel without recording a trajectory.
     """
     configs = list(configs)
+    return [
+        _assemble(config, dt, states, derivs, abort, tol_low, tol_high, trailing_fraction)
+        for config, (dt, states, derivs, abort) in zip(configs, _integrate(configs, True))
+    ]
+
+
+def classify_lanes(
+    configs,
+    tol_low: float = 1e-3,
+    tol_high: float = 1e3,
+    trailing_fraction: float = 0.2,
+) -> list[tuple[Classification, ClassificationEvidence]]:
+    """The classification and evidence of each lane of ``run_lanes(configs)``.
+
+    Entry i equals ``run_lanes(configs)[i]``'s. The lanes run through the same
+    kernel, but no trajectory is built: in backward-difference mode no
+    right-hand side is computed or stored, and each lane's diameter series
+    (|x| for the gap models) goes straight to ``classify_series``. Sweeps and
+    bisections read nothing else.
+    """
+    return [
+        classify_series(np.abs(states) if states.ndim == 1 else diameter_series(states)[0],
+                        aborted=abort is not None, abort_step=abort, tol_low=tol_low,
+                        tol_high=tol_high, trailing_fraction=trailing_fraction)
+        for _, states, _, abort in _integrate(list(configs), False)
+    ]
+
+
+def _integrate(configs: list, record: bool) -> list[tuple]:
+    # Per lane: its step, its states from node 0 on (one scalar per node for
+    # the gap models, else (N, d)), its derivatives when ``record`` is set
+    # (else None) and its abort step (None when it ran to its horizon).
     if not configs:
         return []
     if len({(c.model, c.steps_per_delay, c.derivative_mode, c.n, c.d) for c in configs}) > 1:
@@ -241,7 +273,7 @@ def run_lanes(
             raise ValueError("N-agent models run one lane at a time")
         shape = (config.n, config.d)
     meshes = [Mesh.build(c.tau, c.steps_per_delay, c.t_end) for c in configs]
-    trajs = [None] * len(configs)
+    lanes = [None] * len(configs)
     for delayed in (True, False):
         # Longest horizon first, so lanes that reach their horizon leave the
         # batch from its end.
@@ -249,17 +281,17 @@ def run_lanes(
                        key=lambda i: -meshes[i].total_steps)
         if order:
             batch = _run_batch([configs[i] for i in order], [meshes[i] for i in order], shape,
-                               tol_low, tol_high, trailing_fraction)
-            for i, traj in zip(order, batch):
-                trajs[i] = traj
-    return trajs
+                               record)
+            for i, lane in zip(order, batch):
+                lanes[i] = lane
+    return lanes
 
 
-def _run_batch(configs, meshes, shape, tol_low, tol_high, trailing_fraction) -> list[Trajectory]:
+def _run_batch(configs, meshes, shape, record) -> list[tuple]:
     # The lanes of ``configs`` are all delayed or all at tau = 0, ordered by
-    # non-increasing horizon, and hold (N, d) = ``shape`` states.
+    # non-increasing horizon, and hold (N, d) = ``shape`` states; the gap
+    # models keep one scalar per node.
     config = configs[0]
-    scalar = config.model.is_scalar
     datums = [c.datum.on_mesh(mesh.datum_times) for c, mesh in zip(configs, meshes)]
     for datum_states, datum_derivs in datums:
         if datum_states.shape[1:] != shape:
@@ -273,28 +305,35 @@ def _run_batch(configs, meshes, shape, tol_low, tol_high, trailing_fraction) -> 
     # on [-tau, 0]. Lane i ends at row ends[i].
     lag = len(datums[0][0]) - 1
     ends = [lag + mesh.total_steps for mesh in meshes]
-    states = np.empty((len(configs), ends[0] + 1) + shape)
-    derivs = np.empty_like(states)
-    states[:, : lag + 1] = np.stack([s for s, _ in datums])
-    derivs[:, : lag + 1] = np.stack([d for _, d in datums])
+    node = () if config.model.is_scalar else shape
+    states = np.empty((len(configs), ends[0] + 1) + node)
+    head = (len(configs), lag + 1) + node
+    states[:, : lag + 1] = np.stack([s for s, _ in datums]).reshape(head)
+    datum_slopes = np.stack([d for _, d in datums]).reshape(head)
     x0 = states[:, lag]
     guards = DIVERGENCE_GUARD * np.maximum(
-        1.0, np.abs(x0[:, 0, 0]) if scalar else diameter_series(x0)[0])
+        1.0, np.abs(x0) if x0.ndim == 1 else diameter_series(x0)[0])
     # The block check holds every lane to the lowest guard (each lane's own
     # when the lanes share their datum); only a block that trips it is searched
     # lane by lane.
     guard = guards.min()
-    dts = np.array([mesh.step_size for mesh in meshes])[:, None, None, None]
+    per_lane = (-1,) + (1,) * (states.ndim - 1)
+    dts = np.array([mesh.step_size for mesh in meshes]).reshape(per_lane)
     # lam * tau on the mesh, one gain per lane.
-    gains = np.array([c.lam for c in configs])[:, None, None, None] * (dts * m)
+    gains = np.array([c.lam for c in configs]).reshape(per_lane) * (dts * m)
     # Row k of ``slopes`` is the derivative D(k) the anticipation term reads:
     # the datum's derivative for k <= 0, then the recorded right-hand side or,
-    # written once as each row is accepted, the backward difference.
+    # written once as each row is accepted, the backward difference. The
+    # right-hand sides are computed only when recorded or read.
     backward = lag > 0 and config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
-    slopes = derivs
+    rhs = record or (lag > 0 and not backward)
+    derivs = slopes = None
+    if rhs:
+        derivs = slopes = np.empty_like(states)
+        derivs[:, : lag + 1] = datum_slopes
     if backward:
         slopes = np.empty_like(states)
-        slopes[:, : lag + 1] = derivs[:, : lag + 1]
+        slopes[:, : lag + 1] = datum_slopes
 
     # Lanes in ``live`` all stand at row ``top``; a lane that aborted stops at
     # its own last row and is computed no further.
@@ -310,20 +349,20 @@ def _run_batch(configs, meshes, shape, tol_low, tol_high, trailing_fraction) -> 
             lo, hi = top + 1 - lag, top + 1 - lag + count
             z = states[cols, lo:hi] + gains[cols] * slopes[cols, lo:hi]
         step = dts[cols]
-        new, rhs = advance(states[cols, top], z, count, step)
+        new, block_rhs = advance(states[cols, top], z, count, step, rhs)
         states[cols, rows] = new
-        derivs[cols, rows] = rhs
+        if rhs:
+            derivs[cols, rows] = block_rhs
         if backward:
             slopes[cols, rows] = (new - states[cols, top : top + count]) / step
         # NaN fails the comparison, so this also catches non-finite nodes.
-        if not _guard_values(new, scalar).max() <= guard:
+        if not _guard_values(new).max() <= guard:
             # Find each tripped lane's first offending node.
             going = []
             for i, lane in enumerate(live):
                 bad = np.flatnonzero(~np.isfinite(new[i]).reshape(count, -1).all(axis=1))
                 keep = bad[0] if len(bad) else count
-                high = np.flatnonzero(
-                    _guard_values(new[i : i + 1, :keep], scalar)[0] > guards[lane])
+                high = np.flatnonzero(_guard_values(new[i : i + 1, :keep])[0] > guards[lane])
                 if len(high):
                     keep = high[0] + 1
                 if len(high) or len(bad):
@@ -340,9 +379,9 @@ def _run_batch(configs, meshes, shape, tol_low, tol_high, trailing_fraction) -> 
             cols = _columns(live)
 
     return [
-        _assemble(c, mesh.step_size, states[i, lag : tops[i] + 1], derivs[i, lag : tops[i] + 1],
-                  aborts[i], tol_low, tol_high, trailing_fraction, scalar)
-        for i, (c, mesh) in enumerate(zip(configs, meshes))
+        (mesh.step_size, states[i, lag : tops[i] + 1],
+         derivs[i, lag : tops[i] + 1] if record else None, aborts[i])
+        for i, mesh in enumerate(meshes)
     ]
 
 
@@ -355,11 +394,14 @@ def _columns(live: list) -> slice | np.ndarray:
 
 
 def _assemble(config, dt, states, derivs, abort_step,
-              tol_low, tol_high, trailing_fraction, scalar) -> Trajectory:
+              tol_low, tol_high, trailing_fraction) -> Trajectory:
     count = len(states)
     times = np.arange(count) * dt
-    if scalar:
-        diameters = np.abs(states[:, 0, 0])
+    if states.ndim == 1:
+        # A gap lane: the diameter is |x|, and the (N, d) = (1, 1) axes come
+        # back as a view.
+        diameters = np.abs(states)
+        states, derivs = states[:, None, None], derivs[:, None, None]
         pairs = np.tile(np.array([1, 2]), (count, 1))
     else:
         diameters, pairs = diameter_series(states)

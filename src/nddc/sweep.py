@@ -12,19 +12,21 @@ import numpy as np
 
 from .core import Classification, ConstantDatum, ModelKind, SimConfig, integer
 # ``run`` stays importable from this module for callers that time single cells.
-from .integrator import aligned_t_end, run, run_lanes  # noqa: F401
+from .integrator import aligned_t_end, classify_lanes, run  # noqa: F401
 
 #: Critical delay of the no-anticipation two-agent reaction equation.
 CRITICAL_TAU_NO_ANTICIPATION = math.pi / 4.0
 
 #: Bisection steps resolved per batched round (2**k - 1 lanes), from
-#: measurement. A reaction-gap block costs mostly NumPy dispatch, so 7 lanes
+#: measurement. A reaction-gap block costs mostly NumPy dispatch, so 15 lanes
 #: cost little more than one; the transmission gap loops per lane on Python
-#: floats, so 7 lanes cost about 3.4 times one and every speculative lane that
-#: comes back Inconclusive adds a full retry. Over the criterion 1 and 4
-#: landmarks, k = 3 was fastest for reaction (2 and 3 tied, 4 slower) and
-#: k = 1 for transmission (k = 2 and 3 were 1.3 and 1.7 times slower).
-BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 3, ModelKind.TWO_AGENT_TRANSMISSION: 1}
+#: floats, so every extra lane costs nearly a full run, and every speculative
+#: lane that comes back Inconclusive adds a full retry. Over the criterion 1
+#: and 4 landmarks with verdict-only lanes, the reaction bisections took a
+#: median 1.80 s at k = 4 against 2.04 s at k = 3 (10 alternating runs; k = 2
+#: and 5 were no faster), and the transmission ones 3.30 s at k = 1 against
+#: 3.57 s at k = 2 (8 runs).
+BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 4, ModelKind.TWO_AGENT_TRANSMISSION: 1}
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,11 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
 def _eval_row(args) -> list[tuple[str, float, float]]:
     # One tau row of a grid: every lambda is a lane of one batched run.
     settings, lam_values, tau = args
-    trajs = run_lanes([cell_config(settings, float(lam), tau) for lam in lam_values],
-                      tol_low=settings.tol_low, tol_high=settings.tol_high)
+    verdicts = classify_lanes([cell_config(settings, float(lam), tau) for lam in lam_values],
+                              tol_low=settings.tol_low, tol_high=settings.tol_high)
     return [
-        (traj.classification.value, traj.evidence.final_dx, traj.evidence.trailing_ratio)
-        for traj in trajs
+        (label.value, evidence.final_dx, evidence.trailing_ratio)
+        for label, evidence in verdicts
     ]
 
 
@@ -138,13 +140,17 @@ def grid_sweep(
     """Run one simulation per (lambda, tau) cell and classify it.
 
     Each tau row is one batched run whose lanes are the lambda values (see
-    ``run_lanes``); rows are independent jobs merged deterministically by
-    index, so parallel and serial sweeps produce identical grids. ``workers``,
-    or the NDDC_THREADS environment variable when it is not given, caps how
-    many rows run at once; either must be an integer >= 1.
+    ``classify_lanes``: the cells are classified without building
+    trajectories); rows are independent jobs merged deterministically by
+    index, so parallel and serial sweeps produce identical grids. Both axes
+    must be non-empty. ``workers``, or the NDDC_THREADS environment variable
+    when it is not given, caps how many rows run at once; either must be an
+    integer >= 1.
     """
     lam_values = np.asarray(lam_values, dtype=float)
     tau_values = np.asarray(tau_values, dtype=float)
+    if not (lam_values.size and tau_values.size):
+        raise ValueError("grid_sweep needs at least one lambda and one tau value")
     jobs = [(settings, lam_values, float(tau)) for tau in tau_values]
     workers = min(_pool_size(workers), len(jobs))
     if workers > 1:
@@ -178,8 +184,8 @@ def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]
     # retries as a second batch, then count as the diverged side
     # (conservative for the stable region).
     tols = dict(tol_low=settings.tol_low, tol_high=settings.tol_high)
-    labels = [traj.classification for traj in
-              run_lanes([cell_config(settings, lam, tau) for tau in taus], **tols)]
+    labels = [label for label, _ in
+              classify_lanes([cell_config(settings, lam, tau) for tau in taus], **tols)]
     retry = [i for i, label in enumerate(labels) if label is Classification.INCONCLUSIVE]
     configs = []
     for i in retry:
@@ -187,8 +193,8 @@ def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]
         configs.append(cell_config(settings, lam, taus[i],
                                    steps_per_delay=2 * settings.steps_per_delay,
                                    t_end=2.0 * base_t))
-    for i, traj in zip(retry, run_lanes(configs, **tols)):
-        converged = traj.classification is Classification.CONVERGED
+    for i, (label, _) in zip(retry, classify_lanes(configs, **tols)):
+        converged = label is Classification.CONVERGED
         labels[i] = Classification.CONVERGED if converged else Classification.DIVERGED
     return labels
 
@@ -219,8 +225,9 @@ def boundary_bisect(
     bracket midpoint after the given number of iterations, an integer >= 0.
 
     Each round batches the midpoints the next BISECT_DEPTH[model] steps could
-    visit (see ``run_lanes``) and then walks them with the same arithmetic as
-    a step-by-step bisection, so the result is the same double.
+    visit (see ``classify_lanes``, which reads only each lane's verdict and
+    builds no trajectory) and then walks them with the same arithmetic as a
+    step-by-step bisection, so the result is the same double.
     """
     iterations = integer("iterations", iterations, minimum=0)
     if not tau_low < tau_high:

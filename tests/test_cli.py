@@ -97,6 +97,21 @@ def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
     assert "NDDC_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,message", [
+    ("0:1:0", "N of --lambda-range must be >= 1"),
+    ("0:1:2.5", "N of --lambda-range must be an integer"),
+    ("0:1", "--lambda-range must be LO:HI:N"),
+    ("a:1:3", "--lambda-range must be LO:HI:N"),
+])
+def test_sweep_rejects_bad_axis(tmp_path, capsys, axis, message):
+    out = tmp_path / "out"
+    code = main(["sweep", "--model", "two-agent-reaction", "--lambda-range", axis,
+                 "--tau-range", "0:0.3:2", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_preset_runs(tmp_path):
     out = tmp_path / "out"
     code = main(["figure", "fig1", "--out", str(out)])
@@ -122,3 +137,11 @@ def test_check_theorems_small(capsys):
     out = capsys.readouterr().out
     assert "pass" in out
     assert "all theorem checks passed" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_check_theorems_rejects_empty_suite(capsys, count):
+    assert main(["check-theorems", "--instances", count, "--t-end", "40"]) == 2
+    captured = capsys.readouterr()
+    assert "instance count must be >= 1" in captured.err
+    assert "all theorem checks passed" not in captured.out

@@ -6,7 +6,6 @@ import pytest
 from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig
 from nddc.diagnostics import (
     apriori_bounds,
-    classify,
     classify_series,
     dissimilarity,
     geom_bound_check,
@@ -413,8 +412,3 @@ class TestClassify:
     def test_aborted_series_diverges(self):
         cls, _ = classify_series(np.array([1.0, 2.0, 4.0]), aborted=True, abort_step=3)
         assert cls is Classification.DIVERGED
-
-    def test_trajectory_wrapper_matches_recorded(self):
-        rng = np.random.default_rng(19)
-        traj = _transmission_run(rng.uniform(-1, 1, size=(3, 1)), t_end=30.0)
-        assert classify(traj) is traj.classification

@@ -1,4 +1,5 @@
-"""Batched runs: every lane of run_lanes() equals the run of its own configuration."""
+"""Batched runs: every lane of run_lanes() and classify_lanes() equals the run of its own
+configuration."""
 
 import warnings
 from dataclasses import astuple, replace
@@ -16,21 +17,25 @@ from nddc.core import (
     ModelKind,
     SimConfig,
 )
-from nddc.integrator import run, run_lanes
+from nddc.integrator import classify_lanes, run, run_lanes
 from nddc.weights import make_uniform
 
 GAP_MODELS = [ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TWO_AGENT_REACTION]
+
+
+def assert_same_verdict(classification, evidence, alone):
+    assert classification is alone.classification
+    # Evidence fields are floats, None or bools; a NaN trailing ratio equals NaN.
+    for got, want in zip(astuple(evidence), astuple(alone.evidence)):
+        assert got == want or (got != got and want != want)
+    assert evidence.abort_step == alone.evidence.abort_step
 
 
 def assert_same_run(lane, alone):
     assert np.array_equal(lane.states, alone.states, equal_nan=True)
     assert np.array_equal(lane.derivatives, alone.derivatives, equal_nan=True)
     assert np.array_equal(lane.diameters, alone.diameters, equal_nan=True)
-    assert lane.classification is alone.classification
-    # Evidence fields are floats, None or bools; a NaN trailing ratio equals NaN.
-    for got, want in zip(astuple(lane.evidence), astuple(alone.evidence)):
-        assert got == want or (got != got and want != want)
-    assert lane.evidence.abort_step == alone.evidence.abort_step
+    assert_same_verdict(lane.classification, lane.evidence, alone)
 
 
 @st.composite
@@ -109,6 +114,34 @@ def test_lanes_differing_in_tau_match_single_runs(configs):
         assert_same_run(lane, alone)
 
 
+@st.composite
+def matrix_lane(draw):
+    # One N-agent lane, at tau = 0 or delayed; large gains make the spread grow
+    # through the guard, and opinions near the float range overflow, inside a block.
+    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    m = draw(st.sampled_from([1, 3, 8]))
+    tau = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(0.05, 1.0))
+    values = draw(st.sampled_from([1.0, 1e307])) * np.arange(n * d, dtype=float).reshape(n, d)
+    return [SimConfig(
+        model=draw(st.sampled_from([ModelKind.TRANSMISSION, ModelKind.REACTION])),
+        tau=tau, lam=draw(st.sampled_from([0.0, 0.3, 5.0, 40.0])),
+        datum=LinearDatum(values, draw(st.sampled_from([0.0, 0.7, -1.0])) * values[::-1]),
+        n=n, d=d, steps_per_delay=m, weights=make_uniform(n),
+        t_end=draw(st.integers(1, 24 * m + 3)) * (tau / m if tau > 0 else 1.0 / m),
+        derivative_mode=draw(st.sampled_from(list(DerivativeMode))),
+    )]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.one_of(mixed_lanes(), matrix_lane()))
+def test_verdicts_match_single_runs(configs):
+    verdicts = classify_lanes(configs)
+    assert len(verdicts) == len(configs)
+    for config, (classification, evidence) in zip(configs, verdicts):
+        assert_same_verdict(classification, evidence, run(config))
+
+
 @pytest.mark.parametrize("model", GAP_MODELS)
 def test_mid_block_aborts_leave_other_lanes_running(model):
     config = SimConfig(model=model, tau=0.5, lam=0.0, datum=ConstantDatum([[1.0]]),
@@ -124,6 +157,8 @@ def test_mid_block_aborts_leave_other_lanes_running(model):
     assert lanes[0].n_steps == 1280
     for lam, lane in zip(lams, lanes):
         assert_same_run(lane, run(replace(config, lam=lam)))
+    for lane, verdict in zip(lanes, classify_lanes([replace(config, lam=lam) for lam in lams])):
+        assert_same_verdict(*verdict, lane)
 
 
 def test_matrix_models_take_one_lane():
@@ -150,4 +185,6 @@ def test_lanes_must_share_model_and_steps():
                   replace(config, derivative_mode=DerivativeMode.STORED_RHS)):
         with pytest.raises(ValueError, match="lanes must share"):
             run_lanes([config, other])
-    assert run_lanes([]) == []
+        with pytest.raises(ValueError, match="lanes must share"):
+            classify_lanes([config, other])
+    assert run_lanes([]) == classify_lanes([]) == []

@@ -132,6 +132,12 @@ class TestGridSweep:
         with pytest.raises(ValueError, match="workers"):
             grid_sweep(settings, [0.0], [0.1], workers=workers)
 
+    @pytest.mark.parametrize("lam_values,tau_values", [([], [0.1]), ([0.0], []), ([], [])])
+    def test_empty_axis_rejected(self, lam_values, tau_values):
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, t_end=10.0)
+        with pytest.raises(ValueError, match="at least one lambda and one tau"):
+            grid_sweep(settings, lam_values, tau_values, workers=1)
+
     def test_boundary_bracketed(self):
         settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, t_end=200.0)
         lam_values = np.array([0.0])
