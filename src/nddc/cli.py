@@ -136,11 +136,8 @@ def _parse_axis(flag: str, text: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    settings = sweep.SweepSettings(
-        model=ModelKind(args.model),
-        steps_per_delay=args.steps_per_delay or 32,
-        t_end=args.t_end,
-    )
+    settings = sweep.SweepSettings(model=ModelKind(args.model), t_end=args.t_end,
+                                   steps_per_delay=args.steps_per_delay)
     grid = sweep.grid_sweep(settings, _parse_axis("--lambda-range", args.lambda_range),
                             _parse_axis("--tau-range", args.tau_range))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -238,7 +235,7 @@ def main(argv=None) -> int:
                          choices=[m.value for m in ModelKind if m.is_scalar])
     p_sweep.add_argument("--lambda-range", required=True, metavar="LO:HI:N")
     p_sweep.add_argument("--tau-range", required=True, metavar="LO:HI:N")
-    p_sweep.add_argument("--steps-per-delay", type=int)
+    p_sweep.add_argument("--steps-per-delay", type=int, default=32)
     p_sweep.add_argument("--t-end", type=float)
     p_sweep.add_argument("--out", type=Path, default=Path("nddc-out"))
     p_sweep.set_defaults(func=_cmd_sweep)

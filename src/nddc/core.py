@@ -308,24 +308,22 @@ def diameter(state) -> tuple[float, tuple[int, int]]:
 
 
 def diameter_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized diameters and 1-based argmax pairs for a (T, N, d) stack."""
+    """Diameters and 1-based argmax pairs of a (T, N >= 2, d) stack, over the pairs
+    i < j in lexicographic order, so ties (and NaN) go to the smallest (i, j)."""
     states = np.asarray(states, dtype=float)
     t_total, n, d = states.shape
+    first, second = np.triu_indices(n, 1)
     dists = np.empty(t_total)
     pairs = np.empty((t_total, 2), dtype=int)
-    mask = ~np.triu(np.ones((n, n), dtype=bool), k=1)
-    chunk = max(1, 262144 // max(1, n * n * d))
+    chunk = max(1, 65536 // max(1, len(first) * d))
     for s in range(0, t_total, chunk):
         block = states[s : s + chunk]
-        diff = block[:, :, None, :] - block[:, None, :, :]
-        d2 = np.einsum("tijk,tijk->tij", diff, diff)
-        d2[:, mask] = -1.0
-        flat = d2.reshape(len(block), -1)
-        idx = flat.argmax(axis=1)
-        sel = np.arange(len(block))
-        dists[s : s + chunk] = np.sqrt(flat[sel, idx])
-        pairs[s : s + chunk, 0] = idx // n + 1
-        pairs[s : s + chunk, 1] = idx % n + 1
+        diff = np.take(block, first, axis=1) - np.take(block, second, axis=1)
+        d2 = np.einsum("tpk,tpk->tp", diff, diff)
+        idx = d2.argmax(axis=1)
+        dists[s : s + chunk] = np.sqrt(d2[np.arange(len(block)), idx])
+        pairs[s : s + chunk, 0] = first[idx] + 1
+        pairs[s : s + chunk, 1] = second[idx] + 1
     return dists, pairs
 
 

@@ -234,20 +234,16 @@ def lyap_transmission(
     )
 
 
-def _phi_series(states: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    w = weights.weights
+def _phi_and_dissimilarity(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Phi and the dissimilarity D = sum_ij w_ij |x_i - x_j|^2 at every node of
+    # a (T, N, d) stack, from one product WX: Phi = WX - rowsum * X, and the
+    # cross term sum_ij w_ij <x_i, x_j> of D is sum_i <x_i, (WX)_i>.
+    ws = w @ states
     row = w.sum(axis=1)
-    return np.einsum("ij,tjd->tid", w, states) - row[None, :, None] * states
-
-
-def _dissimilarity_series(states: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    w = weights.weights
-    row = w.sum(axis=1)
-    col = w.sum(axis=0)
     sq = np.einsum("tid,tid->ti", states, states)
-    cross = np.einsum("ij,tid,tjd->t", w, states, states)
-    out = sq @ row + sq @ col - 2.0 * cross
-    return np.maximum(out, 0.0)
+    cross = np.einsum("tid,tid->t", states, ws)
+    return (ws - row[None, :, None] * states,
+            np.maximum(sq @ row + sq @ w.sum(axis=0) - 2.0 * cross, 0.0))
 
 
 def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
@@ -260,7 +256,8 @@ def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
     rules. The admissible per-step decrement splits the continuous coefficient
     (1+lam)*tau - 1/2 into (delta-1)/2 applied at D(n+1-m) plus tau/2 applied
     one node later at D(n+2-m); with the backward-difference scheme the
-    resulting inequality is exact up to rounding.
+    resulting inequality is exact up to rounding. Phi and the dissimilarity
+    of every node come from one product W X over the whole trajectory.
     """
     cfg = traj.config
     if cfg.model is not ModelKind.REACTION:
@@ -286,9 +283,8 @@ def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
     # quadratic term relative to X(0) shifts the functional by a constant and
     # makes it vanish exactly on a consensus history.
     states = traj.states - traj.means[0][None, None, :]
-    phi_t = _phi_series(states, weights)
+    phi_t, d_series = _phi_and_dissimilarity(states, weights.weights)
     f_series = np.einsum("tid,tid->t", phi_t, phi_t)
-    d_series = _dissimilarity_series(states, weights)
 
     n0 = 2 * m
     if n0 >= total:

@@ -49,6 +49,8 @@ class SweepSettings:
     def __post_init__(self) -> None:
         if not ModelKind(self.model).is_scalar:
             raise ValueError("sweeps cover the two-agent reduction models only")
+        object.__setattr__(self, "steps_per_delay",
+                           integer("steps_per_delay", self.steps_per_delay, minimum=1))
 
 
 def cell_config(settings: SweepSettings, lam: float, tau: float,

@@ -112,6 +112,17 @@ def test_sweep_rejects_bad_axis(tmp_path, capsys, axis, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_sweep_rejects_bad_steps_per_delay(tmp_path, capsys, steps):
+    out = tmp_path / "out"
+    code = main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
+                 "--tau-range", "0.1:0.2:2", "--t-end", "2", "--steps-per-delay", steps,
+                 "--out", str(out)])
+    assert code == 2
+    assert "steps_per_delay must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_preset_runs(tmp_path):
     out = tmp_path / "out"
     code = main(["figure", "fig1", "--out", str(out)])

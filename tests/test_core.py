@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nddc.core import (
     ConstantDatum,
@@ -31,6 +33,55 @@ def brute_force_diameter(values):
             if dist > best:
                 best, pair = dist, (i + 1, j + 1)
     return best, pair
+
+
+def full_matrix_diameter_series(states):
+    """The all-pairs form of ``diameter_series``: the full N x N x d difference
+    cube, with the pairs i >= j masked to -1 before a row-major argmax."""
+    states = np.asarray(states, dtype=float)
+    t_total, n, d = states.shape
+    dists = np.empty(t_total)
+    pairs = np.empty((t_total, 2), dtype=int)
+    mask = ~np.triu(np.ones((n, n), dtype=bool), k=1)
+    chunk = max(1, 262144 // max(1, n * n * d))
+    for s in range(0, t_total, chunk):
+        block = states[s : s + chunk]
+        diff = block[:, :, None, :] - block[:, None, :, :]
+        d2 = np.einsum("tijk,tijk->tij", diff, diff)
+        d2[:, mask] = -1.0
+        flat = d2.reshape(len(block), -1)
+        idx = flat.argmax(axis=1)
+        sel = np.arange(len(block))
+        dists[s : s + chunk] = np.sqrt(flat[sel, idx])
+        pairs[s : s + chunk, 0] = idx // n + 1
+        pairs[s : s + chunk, 1] = idx % n + 1
+    return dists, pairs
+
+
+@st.composite
+def opinion_stacks(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(2, 8)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A few rounded values make tied pairs common; +-inf and NaN entries make
+    # non-finite distances.
+    palette = np.round(rng.uniform(-3.0, 3.0, size=draw(st.integers(1, 6))), 1)
+    stack = rng.choice(palette, size=shape)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    stack[special] = rng.choice([np.inf, -np.inf, np.nan], size=int(special.sum()))
+    return stack
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(opinion_stacks())
+def test_diameter_series_matches_full_matrix(stack):
+    dists, pairs = diameter_series(stack)
+    want_dists, want_pairs = full_matrix_diameter_series(stack)
+    # Bit for bit, with NaN equal to NaN.
+    nan = np.isnan(want_dists)
+    assert np.array_equal(np.isnan(dists), nan)
+    assert np.array_equal(dists[~nan].view(np.uint64), want_dists[~nan].view(np.uint64))
+    assert np.array_equal(pairs, want_pairs)
 
 
 class TestDiameter:

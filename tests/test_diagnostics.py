@@ -5,6 +5,7 @@ import pytest
 
 from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig
 from nddc.diagnostics import (
+    _phi_and_dissimilarity,
     apriori_bounds,
     classify_series,
     dissimilarity,
@@ -245,6 +246,25 @@ class TestLyapReaction:
                         datum=ConstantDatum(values), n=n, d=values.shape[1],
                         steps_per_delay=m, t_end=t_end, weights=wm)
         return run(cfg)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (5, 3), (8, 1), (8, 3)])
+    def test_series_match_full_einsum_forms(self, n, d):
+        # Phi and the dissimilarity as two full einsum contractions over the
+        # stack, against the forms built on one product WX.
+        rng = np.random.default_rng(10 * n + d)
+        for w in (make_random_symmetric_bistochastic(n, seed=n).weights,
+                  make_random_row_stochastic(n, 0.1 / (n - 1), seed=d).weights):
+            states = rng.normal(size=(200, n, d)) * rng.uniform(0.1, 10.0, size=(200, 1, 1))
+            row, col = w.sum(axis=1), w.sum(axis=0)
+            want_phi = np.einsum("ij,tjd->tid", w, states) - row[None, :, None] * states
+            sq = np.einsum("tid,tid->ti", states, states)
+            cross = np.einsum("ij,tid,tjd->t", w, states, states)
+            want_d = np.maximum(sq @ row + sq @ col - 2.0 * cross, 0.0)
+            phi_t, d_series = _phi_and_dissimilarity(states, w)
+            # Entries of Phi can cancel to near zero; measure them on the stack's scale.
+            np.testing.assert_allclose(phi_t, want_phi, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want_phi).max())
+            np.testing.assert_allclose(d_series, want_d, rtol=1e-12, atol=0)
 
     def test_consensus_history_is_identically_zero(self):
         traj = self._reaction_run(np.full((4, 1), -1.0))

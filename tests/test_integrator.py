@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nddc.core import (
+    DIVERGENCE_GUARD,
     Classification,
     ConstantDatum,
     DerivativeMode,
@@ -16,6 +17,7 @@ from nddc.core import (
 )
 from nddc.integrator import Mesh, aligned_t_end, refine_oracle, run
 from nddc.weights import make_random_row_stochastic, make_random_symmetric_bistochastic, make_uniform
+from test_kernel_reference import reference_run
 
 # Step-halving cascade limit for the transmission gap at t = 1 (tau = 0.25,
 # lambda = 0, constant datum 1), frozen once the levels agreed to 1e-6.
@@ -219,6 +221,48 @@ class TestRun:
                 for i in range(5) for j in range(i + 1, 5)
             )
             assert traj.diameters[k] == pytest.approx(best, rel=1e-14, abs=1e-300)
+
+
+def _spread_config(d, scale):
+    # Two agents at consensus at t = 0, so the guard is DIVERGENCE_GUARD itself,
+    # with histories +-scale * t. Symmetric weights keep them at +-y in every
+    # coordinate, so each node's spread norm is 2 y sqrt(d) and grows with scale.
+    slope = np.array([[scale] * d, [-scale] * d])
+    return SimConfig(model=ModelKind.REACTION, tau=0.5, lam=0.0, n=2, d=d,
+                     datum=LinearDatum(np.zeros((2, d)), slope), steps_per_delay=4,
+                     t_end=1.0, weights=make_uniform(2))
+
+
+def _guard_flip(d):
+    # Adjacent doubles lo < hi: the run at scale lo stays within the guard and
+    # the run at hi aborts (bisection on the ordered bit patterns).
+    lo, hi = (int(bits) for bits in np.array([1.0, 1e12]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_run(_spread_config(d, float(np.int64(mid).view(np.float64))))[5] is None:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_guard_at_spread_norm_within_ulps(d):
+    flip = _guard_flip(d)
+    sizes = []
+    for offset in range(-3, 5):
+        config = _spread_config(d, float(np.int64(flip + offset).view(np.float64)))
+        states, _, _, _, _, abort_step = reference_run(config)
+        traj = run(config)
+        assert np.array_equal(traj.states, states)
+        assert traj.evidence.abort_step == abort_step
+        assert (abort_step is None) == (offset <= 0)
+        spread = states.max(axis=1) - states.min(axis=1)
+        sizes.append(np.sqrt(np.einsum("tk,tk->t", spread, spread)).max())
+    # The largest spread norm runs within a few ulps of the guard on both sides.
+    ulp = np.spacing(DIVERGENCE_GUARD)
+    assert DIVERGENCE_GUARD - 8 * ulp <= sizes[0] <= sizes[3] <= DIVERGENCE_GUARD
+    assert DIVERGENCE_GUARD < sizes[4] <= sizes[-1] <= DIVERGENCE_GUARD + 8 * ulp
 
 
 class TestFrozenOracle:

@@ -159,6 +159,15 @@ class TestGridSweep:
         with pytest.raises(ValueError):
             SweepSettings(model=ModelKind.TRANSMISSION)
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, True])
+    def test_rejects_bad_steps_per_delay(self, steps):
+        with pytest.raises(ValueError, match="steps_per_delay"):
+            SweepSettings(model=ModelKind.TWO_AGENT_REACTION, steps_per_delay=steps)
+
+    def test_integral_steps_per_delay_becomes_int(self):
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, steps_per_delay=16.0)
+        assert settings.steps_per_delay == 16 and isinstance(settings.steps_per_delay, int)
+
 
 class TestBoundaryBisect:
     def test_invalid_bracket_rejected(self):
