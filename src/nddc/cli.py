@@ -92,12 +92,13 @@ def _cmd_run(args) -> int:
     traj = run_sim(config)
     duration = time.perf_counter() - started
     csv_path = out / "trajectory.csv"
-    io.write_trajectory_csv(traj, csv_path)
+    times = io.TimeColumn()
+    io.write_trajectory_csv(traj, csv_path, times=times)
     outputs = [csv_path]
     if args.diagnostics and not config.model.is_scalar:
         report = diagnostics.track_ij(traj)
         ij_path = out / "ij.csv"
-        io.write_ij_csv(report, traj, ij_path)
+        io.write_ij_csv(report, traj, ij_path, times=times)
         outputs.append(ij_path)
         try:
             if config.model is ModelKind.TRANSMISSION:
@@ -169,10 +170,11 @@ def _cmd_figure(args) -> int:
         config_payload = {"sweep": preset.name}
     else:
         config_payload = {}
+        times = io.TimeColumn()
         for item in preset.runs:
             traj = run_sim(item.config)
             path = out / f"{preset.name}_{item.label.replace('=', '')}.csv"
-            io.write_trajectory_csv(traj, path)
+            io.write_trajectory_csv(traj, path, times=times)
             outputs.append(path)
             summary[item.label] = traj.classification.value
             config_payload[item.label] = io.config_to_dict(item.config)

@@ -62,7 +62,14 @@ class Mesh:
 
 
 def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
-    """Smallest mesh-multiple horizon >= t_target (used by sweeps and presets)."""
+    """Smallest mesh-multiple horizon >= t_target (used by sweeps and presets).
+
+    ``t_target`` must be finite and positive, and ``tau`` finite.
+    """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if not (math.isfinite(t_target) and t_target > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_target}")
     dt = tau / steps_per_delay if tau > 0 else 1.0 / steps_per_delay
     return math.ceil(t_target / dt - 1e-9) * dt
 

@@ -183,6 +183,45 @@ def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
 # format(x, ".17g") for every double (nan, inf and -0 included): enough for
 # exact float round trips. Rows end in "\r\n" as csv.writer ends them, and no
 # field can hold a comma or a quote, so none is quoted.
+#
+# A value written more than once is formatted once. Time columns come from a
+# TimeColumn, which one command shares across the files it writes. A gap
+# trajectory (N = d = 1) whose X_1 is x and whose d_x is |x|, bit for bit,
+# formats x once: X_1 reuses the string, and d_x is it without a leading "-",
+# which is "%.17g" % abs(v) for every double v.
+
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _bits(values) -> np.ndarray:
+    """The IEEE-754 bit patterns of ``values`` as a flat int64 array."""
+    return np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+
+
+class TimeColumn:
+    """The formatted times of the CSVs one command writes.
+
+    A figure's runs share their mesh, an aborted run's times are a prefix of
+    it, and ij.csv's times are a prefix of trajectory.csv's. Times that are a
+    bitwise prefix of the held ones reuse their strings, longer ones extend
+    them, and any others replace them. Create one per command.
+    """
+
+    def __init__(self) -> None:
+        self._bits = np.empty(0, dtype=np.int64)
+        self._text: list[str] = []
+
+    def strings(self, times) -> list[str]:
+        """``"%.17g" % t`` for each of ``times``."""
+        bits = _bits(times)
+        shared = min(len(bits), len(self._bits))
+        if not np.array_equal(bits[:shared], self._bits[:shared]):
+            self._bits, self._text = bits[:0], []
+        if len(bits) > len(self._bits):
+            added = bits[len(self._bits):].view(np.float64)
+            self._text += map("%.17g".__mod__, added.tolist())
+            self._bits = bits.copy()
+        return self._text[: len(bits)]
 
 
 def _write_rows(path, header: str, template: str, rows) -> None:
@@ -192,18 +231,40 @@ def _write_rows(path, header: str, template: str, rows) -> None:
         fh.writelines(template % tuple(row) for row in rows)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Columns: time, per-agent coordinates, d_x, mean coordinates, argmax pair."""
+def _is_gap(traj: Trajectory) -> bool:
+    # N = d = 1 with X_1 = x, d_x = |x| and every pair (1, 2), as _assemble
+    # builds it (a mean of -0.0 is +0.0, so such a run fails and falls back).
+    if traj.states.shape[1:] != (1, 1):
+        return False
+    x = _bits(traj.states)
+    return (np.array_equal(_bits(traj.means), x)
+            and np.array_equal(_bits(traj.diameters), x & _MAGNITUDE)
+            and bool(np.all(np.asarray(traj.argmax_pairs) == (1, 2))))
+
+
+def write_trajectory_csv(traj: Trajectory, path, times: Optional[TimeColumn] = None) -> None:
+    """Columns: time, per-agent coordinates, d_x, mean coordinates, argmax pair.
+
+    ``times`` shares formatted times with the command's other files.
+    """
     nodes, n, d = traj.states.shape
     header = ["time"]
     header += [f"x_{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
     header += ["d_x"]
     header += [f"X_{k + 1}" for k in range(d)]
     header += ["argmax_i", "argmax_j"]
-    block = np.column_stack((traj.times, traj.states.reshape(nodes, -1), traj.diameters,
-                             traj.means, traj.argmax_pairs))
-    template = ",".join(["%.17g"] * (n * d + d + 2)) + ",%d,%d\r\n"
-    _write_rows(path, ",".join(header) + "\r\n", template, block.tolist())
+    header = ",".join(header) + "\r\n"
+    stamps = (times if times is not None else TimeColumn()).strings(traj.times)
+    if _is_gap(traj):
+        xs = map("%.17g".__mod__, traj.states.reshape(-1).tolist())
+        rows = ["%s,%s,%s,%s,1,2\r\n" % (t, s, s.lstrip("-"), s) for t, s in zip(stamps, xs)]
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "".join(rows))
+        return
+    block = np.column_stack((traj.states.reshape(nodes, n * d), traj.diameters, traj.means,
+                             traj.argmax_pairs))
+    template = "%s," + ",".join(["%.17g"] * (n * d + d + 1)) + ",%d,%d\r\n"
+    _write_rows(path, header, template, ((t, *row) for t, row in zip(stamps, block.tolist())))
 
 
 def write_grid_csv(grid: StabilityGrid, path) -> None:
@@ -240,9 +301,12 @@ def write_lyapunov_csv(series: LyapunovSeries, path) -> None:
                 "%.17g,%.17g,%.17g,%.17g\r\n", block.tolist())
 
 
-def write_ij_csv(report: IJReport, traj: Trajectory, path) -> None:
-    block = np.column_stack((traj.times[: len(report.pairs)], report.pairs))
-    _write_rows(path, "time,argmax_i,argmax_j\r\n", "%.17g,%d,%d\r\n", block.tolist())
+def write_ij_csv(report: IJReport, traj: Trajectory, path,
+                 times: Optional[TimeColumn] = None) -> None:
+    stamps = (times if times is not None else TimeColumn()).strings(
+        traj.times[: len(report.pairs)])
+    _write_rows(path, "time,argmax_i,argmax_j\r\n", "%s,%d,%d\r\n",
+                zip(stamps, *np.asarray(report.pairs).T.tolist()))
 
 
 # ---------------------------------------------------------------------------

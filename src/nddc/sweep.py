@@ -51,6 +51,14 @@ class SweepSettings:
             raise ValueError("sweeps cover the two-agent reduction models only")
         object.__setattr__(self, "steps_per_delay",
                            integer("steps_per_delay", self.steps_per_delay, minimum=1))
+        # A NaN tol_high never fires, tol_low >= tol_high lets a grown cell
+        # read Converged, and a zero datum starts every cell at consensus.
+        if not (math.isfinite(self.tol_low) and math.isfinite(self.tol_high)
+                and 0 < self.tol_low < self.tol_high):
+            raise ValueError("tolerances must be finite with 0 < tol_low < tol_high, "
+                             f"got tol_low={self.tol_low}, tol_high={self.tol_high}")
+        if not math.isfinite(self.datum_value) or self.datum_value == 0:
+            raise ValueError(f"datum_value must be finite and nonzero, got {self.datum_value}")
 
 
 def cell_config(settings: SweepSettings, lam: float, tau: float,

@@ -156,3 +156,21 @@ def test_check_theorems_rejects_empty_suite(capsys, count):
     captured = capsys.readouterr()
     assert "instance count must be >= 1" in captured.err
     assert "all theorem checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_sweep_rejects_non_finite_t_end(tmp_path, capsys, t_end):
+    out = tmp_path / "out"
+    code = main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
+                 "--tau-range", "0.1:0.2:2", "--t-end", t_end, "--out", str(out)])
+    assert code == 2
+    assert f"t_end must be finite and positive, got {t_end}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_check_theorems_rejects_non_finite_t_end(capsys, t_end):
+    assert main(["check-theorems", "--instances", "1", "--t-end", t_end]) == 2
+    captured = capsys.readouterr()
+    assert f"t_end must be finite and positive, got {t_end}" in captured.err
+    assert "all theorem checks passed" not in captured.out

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nddc import presets
+from nddc.cli import main
 from nddc.core import (
     Classification,
     ClassificationEvidence,
@@ -27,7 +29,15 @@ from nddc.core import (
     Trajectory,
 )
 from nddc.diagnostics import IJReport, LyapunovSeries
-from nddc.io import write_grid_csv, write_ij_csv, write_lyapunov_csv, write_trajectory_csv
+from nddc.integrator import run
+from nddc.io import (
+    TimeColumn,
+    _is_gap,
+    write_grid_csv,
+    write_ij_csv,
+    write_lyapunov_csv,
+    write_trajectory_csv,
+)
 from nddc.sweep import StabilityGrid
 from nddc.weights import make_uniform
 
@@ -161,3 +171,118 @@ def test_trajectory_matches_per_value_writer(traj):
         write_trajectory_csv(traj, ours)
         _reference_trajectory_csv(traj, reference)
         assert ours.read_bytes() == reference.read_bytes()
+
+
+# Values a gap run's x can take, signed zeros, infinities, NaN of either sign
+# and subnormals included.
+_SPECIAL = [0.0, INF, NAN, TINY, 2.2250738585072014e-308, 1e308, THIRD, 1.5]
+
+
+def _doubles():
+    return st.one_of(st.floats(width=64), st.sampled_from(_SPECIAL)).flatmap(
+        lambda v: st.sampled_from([v, float(np.copysign(v, -1.0))]))
+
+
+def _column(rows):
+    return st.lists(_doubles(), min_size=rows, max_size=rows).map(
+        lambda values: np.array(values, dtype=float).reshape(rows))
+
+
+@st.composite
+def _gap_trajectories(draw):
+    """N = d = 1: X_1 and d_x each either x and |x| (as runs build them) or drawn."""
+    rows = draw(st.integers(1, 8))
+    x = draw(_column(rows))
+    derived_means, derived_diameters = draw(st.booleans()), draw(st.booleans())
+    means = x.copy() if derived_means else draw(_column(rows))
+    diameters = np.abs(x) if derived_diameters else draw(_column(rows))
+    fixed_pairs = draw(st.booleans())
+    pairs = (np.tile([1, 2], (rows, 1)) if fixed_pairs else
+             np.array(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                    min_size=rows, max_size=rows))))
+    traj = dataclasses.replace(_trajectory(), times=draw(_column(rows)),
+                               states=x[:, None, None], diameters=diameters,
+                               means=means[:, None], argmax_pairs=pairs)
+    return traj, derived_means and derived_diameters and fixed_pairs
+
+
+@given(_gap_trajectories())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_gap_trajectory_matches_per_value_writer(case):
+    traj, derived = case
+    assert _is_gap(traj) or not derived
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        write_trajectory_csv(traj, ours)
+        _reference_trajectory_csv(traj, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+
+
+@st.composite
+def _time_sequences(draw):
+    """Times fed one after another: prefixes, extensions and unrelated arrays.
+
+    A "zero signs" array flips the sign of each zero, which compares equal
+    as a float but must not reuse the strings.
+    """
+    held = draw(st.lists(_doubles(), max_size=8))
+    sequence = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["shorter", "longer", "unrelated", "zero signs"]))
+        if kind == "shorter":
+            sequence.append(held[: draw(st.integers(0, len(held)))])
+            continue
+        if kind == "zero signs":
+            held = [-v if v == 0 else v for v in held]
+        else:
+            fresh = draw(st.lists(_doubles(), min_size=1, max_size=8))
+            held = held + fresh if kind == "longer" else fresh
+        sequence.append(held)
+    return [np.array(times, dtype=float) for times in sequence]
+
+
+def _trajectory_at(times, gap: bool) -> Trajectory:
+    rows = len(times)
+    if gap:
+        x = np.linspace(-1.0, 1.0, rows)
+        return dataclasses.replace(_trajectory(), times=times, states=x[:, None, None],
+                                   diameters=np.abs(x), means=x[:, None],
+                                   argmax_pairs=np.tile([1, 2], (rows, 1)))
+    states = np.arange(rows * 4, dtype=float).reshape(rows, 2, 2) / 3.0
+    return dataclasses.replace(_trajectory(), times=times, states=states,
+                               diameters=np.full(rows, 0.5), means=states.mean(axis=1),
+                               argmax_pairs=np.tile([1, 2], (rows, 1)))
+
+
+@given(_time_sequences(), st.lists(st.booleans(), min_size=6, max_size=6))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_shared_time_column_matches_standalone_writes(sequence, gaps):
+    column = TimeColumn()
+    with tempfile.TemporaryDirectory() as tmp:
+        shared, alone = Path(tmp) / "shared.csv", Path(tmp) / "alone.csv"
+        for times, gap in zip(sequence, gaps):
+            traj = _trajectory_at(times, gap)
+            write_trajectory_csv(traj, shared, times=column)
+            _reference_trajectory_csv(traj, alone)
+            assert shared.read_bytes() == alone.read_bytes()
+            report = dataclasses.replace(_ij_report(),
+                                         pairs=traj.argmax_pairs[: max(len(times) - 1, 0)])
+            write_ij_csv(report, traj, shared, times=column)
+            write_ij_csv(report, traj, alone)
+            assert shared.read_bytes() == alone.read_bytes()
+
+
+def test_figure_with_aborted_runs_matches_per_value_writer(tmp_path):
+    # fig4's lambda = 0 and 0.45 runs abort early, so their shared times are
+    # prefixes of the finished runs'.
+    out = tmp_path / "out"
+    assert main(["figure", "fig4", "--out", str(out)]) == 0
+    lengths = set()
+    for item in presets.figure_preset("fig4").runs:
+        traj = run(item.config)
+        lengths.add(len(traj.times))
+        reference = tmp_path / "reference.csv"
+        _reference_trajectory_csv(traj, reference)
+        written = out / f"fig4_{item.label.replace('=', '')}.csv"
+        assert written.read_bytes() == reference.read_bytes()
+    assert len(lengths) == 3

@@ -1,5 +1,7 @@
 """Integrator tests: meshes, datum seeding, block stepping, full runs, refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ class TestMesh:
             t_end = aligned_t_end(tau, 32, 100.0)
             assert t_end >= 100.0 - 1e-9
             Mesh.build(tau, 32, t_end)  # must not raise
+
+    @pytest.mark.parametrize("t_target", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_aligned_t_end_rejects_bad_target(self, t_target):
+        with pytest.raises(ValueError, match="t_end must be finite and positive"):
+            aligned_t_end(0.85, 32, t_target)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_aligned_t_end_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            aligned_t_end(tau, 32, 50.0)
 
 
 class TestInitHistory:

@@ -168,6 +168,24 @@ class TestGridSweep:
         settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, steps_per_delay=16.0)
         assert settings.steps_per_delay == 16 and isinstance(settings.steps_per_delay, int)
 
+    @pytest.mark.parametrize("tol_low, tol_high", [
+        (1e-3, math.nan), (math.nan, 1e3), (1e-3, math.inf), (2e3, 1e3), (1e3, 1e3),
+        (0.0, 1e3), (-1e-3, 1e3),
+    ])
+    def test_rejects_bad_tolerances(self, tol_low, tol_high):
+        with pytest.raises(ValueError, match="tol_low < tol_high"):
+            SweepSettings(model=ModelKind.TWO_AGENT_REACTION, tol_low=tol_low,
+                          tol_high=tol_high)
+
+    @pytest.mark.parametrize("datum_value", [0.0, -0.0, math.nan, math.inf])
+    def test_rejects_bad_datum_value(self, datum_value):
+        with pytest.raises(ValueError, match="datum_value must be finite and nonzero"):
+            SweepSettings(model=ModelKind.TWO_AGENT_REACTION, datum_value=datum_value)
+
+    def test_negative_datum_value_accepted(self):
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, datum_value=-2.0)
+        assert cell_config(settings, 0.0, 0.5).datum.values[0, 0] == -2.0
+
 
 class TestBoundaryBisect:
     def test_invalid_bracket_rejected(self):
