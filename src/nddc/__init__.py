@@ -7,13 +7,11 @@ from .core import (
     LinearDatum,
     ModelKind,
     NonFiniteStateError,
-    OpinionState,
     SampledDatum,
     SimConfig,
     Trajectory,
     WeightMatrix,
     diameter,
-    mean,
 )
 from .integrator import Mesh, classify_lanes, refine_oracle, run, run_lanes
 from .weights import (
@@ -35,7 +33,6 @@ __all__ = [
     "Mesh",
     "ModelKind",
     "NonFiniteStateError",
-    "OpinionState",
     "SampledDatum",
     "SimConfig",
     "Trajectory",
@@ -47,7 +44,6 @@ __all__ = [
     "make_random_row_stochastic",
     "make_random_symmetric_bistochastic",
     "make_uniform",
-    "mean",
     "refine_oracle",
     "run",
     "run_lanes",

@@ -13,7 +13,14 @@ import numpy as np
 from . import diagnostics, harness, io, presets, sweep
 from .core import ModelKind, integer
 from .integrator import run as run_sim
-from .weights import WeightSpec, validate
+from .weights import WeightSpec
+
+#: The generator names ``--weights`` accepts and the WeightSpec kinds they build.
+WEIGHT_KINDS = {
+    "uniform": "uniform",
+    "random-row": "random-row-stochastic",
+    "random-sym": "random-symmetric-bistochastic",
+}
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -27,7 +34,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--weights",
-                        help="weights file, or one of: uniform, random-row, random-sym")
+                        help=f"weights file, or one of: {', '.join(WEIGHT_KINDS)}")
     parser.add_argument("--min-off-diagonal", type=float)
     parser.add_argument("--datum", help="constant:c | linear:a,b | file:PATH")
     parser.add_argument("--derivative-mode",
@@ -38,14 +45,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _weights_payload(args) -> dict | None:
     if args.weights is None:
         return None
-    spec_kinds = {
-        "uniform": "uniform",
-        "random-row": "random-row-stochastic",
-        "random-sym": "random-symmetric-bistochastic",
-    }
-    if args.weights in spec_kinds:
+    if args.weights in WEIGHT_KINDS:
         return {
-            "kind": spec_kinds[args.weights],
+            "kind": WEIGHT_KINDS[args.weights],
             "n": args.n if args.n is not None else 2,
             "min_off_diagonal": args.min_off_diagonal,
             "seed": args.seed if args.seed is not None else 0,
@@ -191,18 +193,12 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate_weights(args) -> int:
     try:
-        if args.weights in ("uniform", "random-row", "random-sym"):
-            spec_kinds = {
-                "uniform": "uniform",
-                "random-row": "random-row-stochastic",
-                "random-sym": "random-symmetric-bistochastic",
-            }
-            wm = WeightSpec(kind=spec_kinds[args.weights], n=args.n,
-                            min_off_diagonal=args.min_off_diagonal,
-                            seed=args.seed).build()
+        # Both paths return a validated matrix with its flags set.
+        if args.weights in WEIGHT_KINDS:
+            wm = WeightSpec(kind=WEIGHT_KINDS[args.weights], n=args.n,
+                            min_off_diagonal=args.min_off_diagonal, seed=args.seed).build()
         else:
             wm = io.load_weights(args.weights)
-        wm = validate(wm.weights)
     except (ValueError, OSError) as exc:
         print(f"invalid weights: {exc}", file=sys.stderr)
         return 1

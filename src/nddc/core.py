@@ -1,4 +1,4 @@
-"""Shared domain types: opinion states, weights, datums, configs, run records."""
+"""Shared domain types: weights, datums, configs, run records, the diameter."""
 
 from __future__ import annotations
 
@@ -56,36 +56,6 @@ class Classification(str, enum.Enum):
     CONVERGED = "converged"
     DIVERGED = "diverged"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class OpinionState:
-    """Stack of agent opinion vectors (N x d) at one mesh time.
-
-    Agent indices reported by any public operation are 1-based, matching the
-    convention that agents are numbered 1..N.
-    """
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("opinion state must be an N x d matrix")
-        n, d = self.values.shape
-        if n < 2 or d < 1:
-            raise ValueError(f"opinion state needs N >= 2 agents and d >= 1, got {n} x {d}")
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteStateError("opinion state contains non-finite entries")
-
-    @property
-    def n_agents(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -283,14 +253,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def state_at(self, node: int) -> np.ndarray:
-        return self.states[node]
-
-
-def _as_values(state) -> np.ndarray:
-    values = getattr(state, "values", state)
-    return np.asarray(values, dtype=float)
-
 
 def diameter(state) -> tuple[float, tuple[int, int]]:
     """Maximum pairwise Euclidean distance and the attaining agent pair.
@@ -298,7 +260,7 @@ def diameter(state) -> tuple[float, tuple[int, int]]:
     Ties are broken by the lexicographically smallest 1-based pair (i, j),
     i < j, so the result is a total order over argmax candidates.
     """
-    values = _as_values(state)
+    values = np.asarray(state, dtype=float)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError("diameter needs an N x d state with N >= 2")
     if not np.all(np.isfinite(values)):
@@ -325,13 +287,3 @@ def diameter_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pairs[s : s + chunk, 0] = first[idx] + 1
         pairs[s : s + chunk, 1] = second[idx] + 1
     return dists, pairs
-
-
-def mean(state) -> np.ndarray:
-    """Arithmetic mean of the agent opinion vectors (a d-vector)."""
-    values = _as_values(state)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise ValueError("mean needs an N x d state")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteStateError("mean of a non-finite state")
-    return values.mean(axis=0)

@@ -14,9 +14,9 @@ from .core import (
     ModelKind,
     Trajectory,
     WeightMatrix,
-    _as_values,
     diameter,
 )
+from .models import theorem_reaction_condition, theorem_transmission_condition
 from .weights import gamma
 
 
@@ -38,12 +38,12 @@ def reaction_decay_coefficient(lam: float, tau: float) -> float:
 
 def psi_sum(state, weights: WeightMatrix) -> np.ndarray:
     """Row i is sum_{j != i} w_ij x_j (the weighted average each agent perceives)."""
-    return weights.off_diagonal() @ _as_values(state)
+    return weights.off_diagonal() @ np.asarray(state, dtype=float)
 
 
 def phi(state, weights: WeightMatrix) -> np.ndarray:
     """Row i is sum_j w_ij (x_j - x_i); diagonal weights cancel."""
-    values = _as_values(state)
+    values = np.asarray(state, dtype=float)
     w = weights.weights
     return w @ values - w.sum(axis=1)[:, None] * values
 
@@ -53,7 +53,7 @@ def dissimilarity(state, weights: WeightMatrix) -> float:
 
     For irreducible weights the value vanishes exactly when all agents agree.
     """
-    values = _as_values(state)
+    values = np.asarray(state, dtype=float)
     diff = values[None, :, :] - values[:, None, :]
     return float(np.einsum("ij,ijk,ijk->", weights.weights, diff, diff))
 
@@ -175,8 +175,7 @@ def lyap_transmission(
     weights = cfg.weights
     if weights is None or not (weights.row_stochastic and weights.positive_off_diagonal):
         raise ValueError("needs row-stochastic weights with positive off-diagonals")
-    lt = cfg.lam * cfg.tau
-    if lt > 1.0:
+    if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("functional is not sign-definite for lam*tau > 1")
 
     m = cfg.steps_per_delay
@@ -193,6 +192,7 @@ def lyap_transmission(
         t0 = float(traj.times[0])
     i, k = pair[0] - 1, pair[1] - 1
 
+    lt = cfg.lam * cfg.tau
     gam = gamma(weights)
     kappa = transmission_integral_coefficient(gam, cfg.lam, cfg.tau)
     coeff = transmission_decay_coefficient(gam, cfg.lam, cfg.tau)
@@ -265,7 +265,7 @@ def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
     weights = cfg.weights
     if weights is None or not (weights.symmetric and weights.bi_stochastic):
         raise ValueError("needs symmetric bi-stochastic weights")
-    if reaction_decay_coefficient(cfg.lam, cfg.tau) >= 0.0:
+    if not theorem_reaction_condition(cfg.lam, cfg.tau):
         raise ValueError("functional decay requires (1+lam)*tau < 1/2")
 
     m = cfg.steps_per_delay
@@ -350,9 +350,9 @@ def apriori_bounds(traj: Trajectory, rel_slack: float = 1e-9) -> AprioriBounds:
     cfg = traj.config
     if cfg.model is not ModelKind.TRANSMISSION:
         raise ValueError("a-priori bounds apply to the N-agent transmission model")
-    lt = cfg.lam * cfg.tau
-    if lt > 1.0:
+    if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("a-priori bounds need lam*tau <= 1")
+    lt = cfg.lam * cfg.tau
     m = cfg.steps_per_delay
     dt = cfg.tau / m if cfg.tau > 0 else 1.0 / m
     datum_times = np.arange(-m, 1) * dt if cfg.tau > 0 else np.zeros(1)

@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import ConstantDatum, ModelKind, SimConfig, Trajectory, integer
-from .integrator import aligned_t_end, run
+from .integrator import aligned_t_end, check_horizon, run
 from .weights import make_random_row_stochastic, make_random_symmetric_bistochastic
 
 #: Decay required of d_x(t_end) / d_x(0) by both theorem suites.
@@ -140,9 +140,11 @@ def check_theorems(
 ) -> bool:
     """Run both suites, optionally printing a pass/fail table. True iff all pass.
 
-    ``count`` instances per suite, an integer >= 1.
+    ``count`` instances per suite, an integer >= 1; both it and ``t_end``
+    are checked before the table's header is reported.
     """
     count = integer("instance count", count, minimum=1)
+    check_horizon(t_end)
     all_ok = True
     if report:
         report(f"{'theorem':<14} {'seed':>5} {'N':>2} {'d':>2} {'tau':>7} "

@@ -61,17 +61,27 @@ class Mesh:
         return np.arange(-self.steps_per_delay, 1) * self.step_size
 
 
+def default_horizon(tau: float) -> float:
+    """The horizon of a run given none, max(50, 40*tau), before mesh alignment."""
+    return max(50.0, 40.0 * tau)
+
+
+def check_horizon(t_target: float) -> float:
+    """``t_target``, which must be finite and positive, else ValueError."""
+    if not (math.isfinite(t_target) and t_target > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_target}")
+    return t_target
+
+
 def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
     """Smallest mesh-multiple horizon >= t_target (used by sweeps and presets).
 
-    ``t_target`` must be finite and positive, and ``tau`` finite.
+    ``t_target`` must be finite and positive (``check_horizon``), and ``tau`` finite.
     """
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    if not (math.isfinite(t_target) and t_target > 0):
-        raise ValueError(f"t_end must be finite and positive, got {t_target}")
     dt = tau / steps_per_delay if tau > 0 else 1.0 / steps_per_delay
-    return math.ceil(t_target / dt - 1e-9) * dt
+    return math.ceil(check_horizon(t_target) / dt - 1e-9) * dt
 
 
 def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -409,14 +419,16 @@ def _assemble(config, dt, states, derivs, abort_step,
     count = len(states)
     times = np.arange(count) * dt
     if states.ndim == 1:
-        # A gap lane: the diameter is |x|, and the (N, d) = (1, 1) axes come
-        # back as a view.
+        # A gap lane: the diameter is |x|, the (N, d) = (1, 1) axes come
+        # back as views, and the mean over the one agent is the gap itself
+        # (numpy's mean would turn -0.0 into +0.0).
         diameters = np.abs(states)
         states, derivs = states[:, None, None], derivs[:, None, None]
+        means = states[:, 0]
         pairs = np.tile(np.array([1, 2]), (count, 1))
     else:
         diameters, pairs = diameter_series(states)
-    means = states.mean(axis=1)
+        means = states.mean(axis=1)
     classification, evidence = classify_series(
         diameters, aborted=abort_step is not None, abort_step=abort_step,
         tol_low=tol_low, tol_high=tol_high, trailing_fraction=trailing_fraction,

@@ -21,7 +21,7 @@ from .core import (
     integer,
 )
 from .diagnostics import IJReport, LyapunovSeries
-from .integrator import Mesh, aligned_t_end
+from .integrator import Mesh, aligned_t_end, default_horizon
 from .sweep import StabilityGrid
 from .weights import WeightMatrix, WeightSpec, validate
 
@@ -133,7 +133,7 @@ def config_from_dict(payload: dict) -> SimConfig:
     steps = payload.get("steps_per_delay", 32)
     t_end = payload.get("t_end")
     if t_end is None:
-        t_end = aligned_t_end(tau, steps, max(50.0, 40.0 * tau))
+        t_end = aligned_t_end(tau, steps, default_horizon(tau))
     datum_payload = payload.get("datum", {"kind": "constant", "values": 1.0})
     shape_n = 1 if model.is_scalar else n
     return SimConfig(
@@ -157,7 +157,7 @@ def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
 
     Overrides (typically command-line flags) win over file entries. Defaults:
     steps_per_delay 32, constant datum 1, t_end the first mesh multiple of
-    max(50, 40*tau). A user-supplied t_end that is not a mesh multiple is an
+    the default horizon (``integrator.default_horizon``). A user-supplied t_end that is not a mesh multiple is an
     error.
     """
     payload: dict = {}
@@ -233,7 +233,7 @@ def _write_rows(path, header: str, template: str, rows) -> None:
 
 def _is_gap(traj: Trajectory) -> bool:
     # N = d = 1 with X_1 = x, d_x = |x| and every pair (1, 2), as _assemble
-    # builds it (a mean of -0.0 is +0.0, so such a run fails and falls back).
+    # builds it.
     if traj.states.shape[1:] != (1, 1):
         return False
     x = _bits(traj.states)

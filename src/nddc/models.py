@@ -1,14 +1,21 @@
-"""Closed-form stability conditions for the two-agent reductions and the theorems."""
+"""Closed-form stability conditions of the two-agent reductions and the theorems,
+and the condition curves tau(lambda) they draw over a stability grid."""
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import ModelKind
 
 #: Regime thresholds for the no-anticipation reaction equation, applied to 2*tau.
 NON_OSCILLATORY_THRESHOLD = math.exp(-1.0)
 INSTABILITY_THRESHOLD = math.pi / 2.0
+#: Critical delay of the no-anticipation two-agent reaction equation (pi/4).
+CRITICAL_TAU_NO_ANTICIPATION = INSTABILITY_THRESHOLD / 2.0
 
 
 class RegimeLabel(str, enum.Enum):
@@ -16,12 +23,6 @@ class RegimeLabel(str, enum.Enum):
     STABLE_OSCILLATORY = "stable-oscillatory"
     UNSTABLE = "unstable"
     BOUNDARY = "boundary"
-
-
-@dataclass
-class AnalyticRegime:
-    label: RegimeLabel
-    thresholds: dict = field(default_factory=dict)
 
 
 def trans_two_agent_stable(lam: float, tau: float) -> bool:
@@ -44,21 +45,48 @@ def theorem_reaction_condition(lam: float, tau: float) -> bool:
     return (1.0 + lam) * tau < 0.5
 
 
-def react_no_anticipation_regime(tau: float) -> AnalyticRegime:
+def react_no_anticipation_regime(tau: float) -> RegimeLabel:
     """Regime of x' = -2 x(t - tau): thresholds e^-1 and pi/2 applied to 2*tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     two_tau = 2.0 * tau
-    thresholds = {
-        "non_oscillatory": NON_OSCILLATORY_THRESHOLD,
-        "instability": INSTABILITY_THRESHOLD,
-    }
     if two_tau == NON_OSCILLATORY_THRESHOLD or two_tau == INSTABILITY_THRESHOLD:
-        label = RegimeLabel.BOUNDARY
-    elif two_tau < NON_OSCILLATORY_THRESHOLD:
-        label = RegimeLabel.STABLE_NON_OSCILLATORY
-    elif two_tau < INSTABILITY_THRESHOLD:
-        label = RegimeLabel.STABLE_OSCILLATORY
-    else:
-        label = RegimeLabel.UNSTABLE
-    return AnalyticRegime(label=label, thresholds=thresholds)
+        return RegimeLabel.BOUNDARY
+    if two_tau < NON_OSCILLATORY_THRESHOLD:
+        return RegimeLabel.STABLE_NON_OSCILLATORY
+    if two_tau < INSTABILITY_THRESHOLD:
+        return RegimeLabel.STABLE_OSCILLATORY
+    return RegimeLabel.UNSTABLE
+
+
+@dataclass
+class OverlayCurve:
+    label: str
+    lam: np.ndarray
+    tau: np.ndarray
+
+
+def analytic_overlays(model: ModelKind, lam_values) -> list[OverlayCurve]:
+    """The boundary tau(lambda) of each closed-form condition on ``model``.
+
+    Reaction models get the sufficient condition (1+lam)*tau < 1/2, and the
+    two-agent one also the no-anticipation critical delay; transmission models
+    get lam*tau = 1 (tau = inf at lam = 0), the exact two-agent boundary or
+    the N-agent guarantee.
+    """
+    lam_values = np.asarray(lam_values, dtype=float)
+    model = ModelKind(model)
+    if not model.is_reaction:
+        positive = lam_values > 0
+        tau = np.where(positive, 1.0 / np.where(positive, lam_values, 1.0), np.inf)
+        label = "two-agent-boundary" if model.is_scalar else "consensus-guarantee"
+        return [OverlayCurve(label=label, lam=lam_values, tau=tau)]
+    curves = [OverlayCurve(label="sufficient-condition", lam=lam_values,
+                           tau=1.0 / (2.0 * (1.0 + lam_values)))]
+    if model.is_scalar:
+        curves.append(OverlayCurve(
+            label="no-anticipation-critical",
+            lam=lam_values,
+            tau=np.full_like(lam_values, CRITICAL_TAU_NO_ANTICIPATION),
+        ))
+    return curves

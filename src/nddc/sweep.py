@@ -12,10 +12,8 @@ import numpy as np
 
 from .core import Classification, ConstantDatum, ModelKind, SimConfig, integer
 # ``run`` stays importable from this module for callers that time single cells.
-from .integrator import aligned_t_end, classify_lanes, run  # noqa: F401
-
-#: Critical delay of the no-anticipation two-agent reaction equation.
-CRITICAL_TAU_NO_ANTICIPATION = math.pi / 4.0
+from .integrator import aligned_t_end, classify_lanes, default_horizon, run  # noqa: F401
+from .models import analytic_overlays
 
 #: Bisection steps resolved per batched round (2**k - 1 lanes), from
 #: measurement. A reaction-gap block costs mostly NumPy dispatch, so 15 lanes
@@ -33,10 +31,10 @@ BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 4, ModelKind.TWO_AGENT_TRANSMISSIO
 class SweepSettings:
     """Per-cell run recipe for grid sweeps and boundary bisection.
 
-    ``t_end`` of None means max(50, 40*tau); every horizon is rounded up to
-    the next mesh multiple. Only the two-agent reductions are swept (the
-    N-agent models have no free scalar gap to classify against a constant
-    datum).
+    ``t_end`` of None means ``default_horizon(tau)``; every horizon is
+    rounded up to the next mesh multiple. Only the two-agent reductions are
+    swept (the N-agent models have no free scalar gap to classify against a
+    constant datum).
     """
 
     model: ModelKind
@@ -60,14 +58,16 @@ class SweepSettings:
         if not math.isfinite(self.datum_value) or self.datum_value == 0:
             raise ValueError(f"datum_value must be finite and nonzero, got {self.datum_value}")
 
+    def horizon(self, tau: float) -> float:
+        """The run horizon at ``tau`` before mesh alignment."""
+        return self.t_end if self.t_end is not None else default_horizon(tau)
+
 
 def cell_config(settings: SweepSettings, lam: float, tau: float,
                 steps_per_delay: Optional[int] = None,
                 t_end: Optional[float] = None) -> SimConfig:
     m = steps_per_delay if steps_per_delay is not None else settings.steps_per_delay
-    target = t_end if t_end is not None else settings.t_end
-    if target is None:
-        target = max(50.0, 40.0 * tau)
+    target = t_end if t_end is not None else settings.horizon(tau)
     return SimConfig(
         model=settings.model,
         tau=tau,
@@ -100,13 +100,6 @@ def _pool_size(workers: Optional[int]) -> int:
     except ValueError:
         raise ValueError(f"NDDC_THREADS must be an integer, got {raw!r}") from None
     return integer("NDDC_THREADS", value, minimum=1)
-
-
-@dataclass
-class OverlayCurve:
-    label: str
-    lam: np.ndarray
-    tau: np.ndarray
 
 
 @dataclass
@@ -197,12 +190,8 @@ def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]
     labels = [label for label, _ in
               classify_lanes([cell_config(settings, lam, tau) for tau in taus], **tols)]
     retry = [i for i, label in enumerate(labels) if label is Classification.INCONCLUSIVE]
-    configs = []
-    for i in retry:
-        base_t = settings.t_end if settings.t_end is not None else max(50.0, 40.0 * taus[i])
-        configs.append(cell_config(settings, lam, taus[i],
-                                   steps_per_delay=2 * settings.steps_per_delay,
-                                   t_end=2.0 * base_t))
+    configs = [cell_config(settings, lam, taus[i], steps_per_delay=2 * settings.steps_per_delay,
+                           t_end=2.0 * settings.horizon(taus[i])) for i in retry]
     for i, (label, _) in zip(retry, classify_lanes(configs, **tols)):
         converged = label is Classification.CONVERGED
         labels[i] = Classification.CONVERGED if converged else Classification.DIVERGED
@@ -260,31 +249,3 @@ def boundary_bisect(
                 hi, node = mid, 2 * node + 2
         iterations -= depth
     return 0.5 * (lo + hi)
-
-
-def analytic_overlays(model: ModelKind, lam_values) -> list[OverlayCurve]:
-    """Closed-form condition curves tau(lambda) to draw over a stability grid."""
-    lam_values = np.asarray(lam_values, dtype=float)
-    model = ModelKind(model)
-    curves: list[OverlayCurve] = []
-    if model.is_reaction:
-        curves.append(OverlayCurve(
-            label="sufficient-condition",
-            lam=lam_values,
-            tau=1.0 / (2.0 * (1.0 + lam_values)),
-        ))
-        if model is ModelKind.TWO_AGENT_REACTION:
-            curves.append(OverlayCurve(
-                label="no-anticipation-critical",
-                lam=lam_values,
-                tau=np.full_like(lam_values, CRITICAL_TAU_NO_ANTICIPATION),
-            ))
-    else:
-        with np.errstate(divide="ignore"):
-            curves.append(OverlayCurve(
-                label="two-agent-boundary" if model.is_scalar else "consensus-guarantee",
-                lam=lam_values,
-                tau=np.where(lam_values > 0, 1.0 / np.where(lam_values > 0, lam_values, 1.0),
-                             np.inf),
-            ))
-    return curves

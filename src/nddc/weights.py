@@ -152,7 +152,6 @@ class WeightSpec:
     n: int = 2
     min_off_diagonal: Optional[float] = None
     seed: int = 0
-    matrix: Optional[np.ndarray] = None
 
     def build(self) -> WeightMatrix:
         if self.kind == "uniform":
@@ -164,8 +163,4 @@ class WeightSpec:
             return make_random_row_stochastic(self.n, floor, self.seed)
         if self.kind == "random-symmetric-bistochastic":
             return make_random_symmetric_bistochastic(self.n, self.seed)
-        if self.kind == "explicit":
-            if self.matrix is None:
-                raise ValueError("explicit weight spec needs a matrix")
-            return validate(self.matrix)
         raise ValueError(f"unknown weight spec kind: {self.kind!r}")

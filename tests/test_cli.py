@@ -155,7 +155,7 @@ def test_check_theorems_rejects_empty_suite(capsys, count):
     assert main(["check-theorems", "--instances", count, "--t-end", "40"]) == 2
     captured = capsys.readouterr()
     assert "instance count must be >= 1" in captured.err
-    assert "all theorem checks passed" not in captured.out
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("t_end", ["inf", "nan"])
@@ -168,9 +168,11 @@ def test_sweep_rejects_non_finite_t_end(tmp_path, capsys, t_end):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("t_end", ["inf", "nan"])
-def test_check_theorems_rejects_non_finite_t_end(capsys, t_end):
+@pytest.mark.parametrize("t_end", ["inf", "nan", "-1"])
+def test_check_theorems_rejects_bad_t_end(capsys, t_end):
+    # t_end is checked before the table header is printed.
     assert main(["check-theorems", "--instances", "1", "--t-end", t_end]) == 2
     captured = capsys.readouterr()
     assert f"t_end must be finite and positive, got {t_end}" in captured.err
-    assert "all theorem checks passed" not in captured.out
+    assert captured.out == ""
+

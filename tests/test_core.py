@@ -1,4 +1,4 @@
-"""Domain-type tests: diameter, mean, datum construction, and config validation."""
+"""Domain-type tests: diameter, datum construction, and config validation."""
 
 from dataclasses import replace
 
@@ -12,13 +12,11 @@ from nddc.core import (
     LinearDatum,
     MeshAlignmentError,
     NonFiniteStateError,
-    OpinionState,
     SampledDatum,
     SimConfig,
     WeightMatrix,
     diameter,
     diameter_series,
-    mean,
 )
 from nddc.integrator import run
 from nddc.weights import make_uniform
@@ -149,36 +147,6 @@ class TestDiameter:
             value, pair = diameter(stack[k])
             assert dists[k] == value
             assert tuple(pairs[k]) == pair
-
-
-class TestMean:
-    def test_examples(self):
-        assert mean(np.array([[1.0], [2.0], [3.0]])) == pytest.approx([2.0])
-        assert mean(np.full((4, 2), 0.25)) == pytest.approx([0.25, 0.25])
-        assert mean(np.array([[-1.0], [1.0]])) == pytest.approx([0.0])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(6, 3))
-        y = rng.normal(size=(6, 3))
-        a, b = 1.7, -0.4
-        np.testing.assert_allclose(
-            mean(a * x + b * y), a * mean(x) + b * mean(y), rtol=1e-12, atol=1e-14
-        )
-
-    def test_accepts_opinion_state(self):
-        state = OpinionState(values=np.array([[0.0], [4.0]]), time=1.0)
-        assert mean(state) == pytest.approx([2.0])
-
-
-class TestOpinionState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OpinionState(values=np.zeros((1, 2)))
-        with pytest.raises(NonFiniteStateError):
-            OpinionState(values=np.array([[np.inf], [0.0]]))
-        state = OpinionState(values=np.zeros((3, 2)), time=0.5)
-        assert state.n_agents == 3 and state.dim == 2
 
 
 class TestDatum:

@@ -184,6 +184,12 @@ class TestLyapTransmission:
         with pytest.raises(ValueError):
             lyap_transmission(traj)
 
+    def test_accepts_equality_lam_tau_one(self):
+        # The guarantee admits lam*tau = 1 exactly.
+        traj = _transmission_run(np.array([[0.0], [1.0], [2.0]]), tau=0.5, lam=2.0,
+                                 t_end=10.0)
+        assert lyap_transmission(traj).violations == 0
+
     def test_params_expose_pair_and_gamma(self):
         rng = np.random.default_rng(21)
         traj = _transmission_run(rng.uniform(-1, 1, size=(4, 2)), t_end=10.0)
@@ -294,6 +300,12 @@ class TestLyapReaction:
         assert series.params["phi_coefficient"] == 0.0
         assert series.violations == 0
 
+    def test_rejects_equality_one_half(self):
+        # The guarantee is strict: (1 + lam) * tau = 1/2 exactly is rejected.
+        traj = self._reaction_run(np.array([[0.0], [1.0]]), tau=0.25, lam=1.0, t_end=5.0)
+        with pytest.raises(ValueError, match="requires"):
+            lyap_reaction(traj)
+
     def test_rejects_out_of_range_parameters(self):
         traj = self._reaction_run(np.array([[0.0], [1.0]]), tau=0.3, lam=1.0, t_end=9.0)
         with pytest.raises(ValueError):
@@ -368,6 +380,17 @@ class TestAprioriBounds:
         assert bounds.holds
         sup_state = np.abs(traj.states).max()
         assert sup_state <= 1.5 * (1 + 1e-9)
+
+    def test_accepts_equality_lam_tau_one(self):
+        traj = _transmission_run(np.array([[1.0], [-1.0], [0.5]]), tau=0.5, lam=2.0,
+                                 t_end=10.0)
+        assert apriori_bounds(traj).holds
+
+    def test_rejects_lam_tau_above_one(self):
+        traj = _transmission_run(np.array([[1.0], [-1.0], [0.5]]), tau=0.5, lam=2.5,
+                                 t_end=5.0)
+        with pytest.raises(ValueError, match="lam\\*tau <= 1"):
+            apriori_bounds(traj)
 
     def test_randomized_runs_hold(self):
         from nddc.integrator import aligned_t_end

@@ -18,6 +18,7 @@ from nddc.diagnostics import lyap_transmission, track_ij
 from nddc.integrator import run
 from nddc.io import (
     RunManifest,
+    _is_gap,
     config_from_dict,
     config_to_dict,
     datum_from_dict,
@@ -59,6 +60,23 @@ class TestTrajectoryCsv:
             assert float(rows[k]["x_1_1"]) == traj.states[k, 0, 0]
             assert float(rows[k]["d_x"]) == traj.diameters[k]
             assert int(rows[k]["argmax_i"]) == 1 and int(rows[k]["argmax_j"]) == 2
+
+    def test_negative_zero_gap_keeps_its_sign_in_the_mean(self, tmp_path):
+        # The gap's mean is the gap itself, so a -0.0 gap writes X_1 = -0 as
+        # x_1_1 does and takes the one-string gap path.
+        cfg = SimConfig(model=ModelKind.TWO_AGENT_TRANSMISSION, tau=0.25, lam=0.5,
+                        datum=ConstantDatum([[-0.0]]), n=1, d=1, steps_per_delay=4,
+                        t_end=2.0)
+        traj = run(cfg)
+        assert np.all(np.signbit(traj.states)) and np.all(np.signbit(traj.means))
+        assert _is_gap(traj)
+        path = tmp_path / "negative_zero.csv"
+        write_trajectory_csv(traj, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(traj.times)
+        assert [r["X_1"] for r in rows] == [r["x_1_1"] for r in rows] == ["-0"] * len(rows)
+        assert all(r["d_x"] == "0" for r in rows)
 
     def test_consensus_run_zero_diameter_column(self, tmp_path):
         wm = make_uniform(3)

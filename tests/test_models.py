@@ -16,7 +16,9 @@ from nddc.core import (
 )
 from nddc.integrator import run
 from nddc.models import (
+    CRITICAL_TAU_NO_ANTICIPATION,
     RegimeLabel,
+    analytic_overlays,
     react_no_anticipation_regime,
     react_two_agent_sufficient,
     theorem_reaction_condition,
@@ -116,19 +118,64 @@ class TestConditions:
 
 class TestNoAnticipationRegimes:
     def test_regime_labels(self):
-        assert react_no_anticipation_regime(0.15).label is RegimeLabel.STABLE_NON_OSCILLATORY
-        assert react_no_anticipation_regime(0.5).label is RegimeLabel.STABLE_OSCILLATORY
-        assert react_no_anticipation_regime(0.8).label is RegimeLabel.UNSTABLE
+        assert react_no_anticipation_regime(0.15) is RegimeLabel.STABLE_NON_OSCILLATORY
+        assert react_no_anticipation_regime(0.5) is RegimeLabel.STABLE_OSCILLATORY
+        assert react_no_anticipation_regime(0.8) is RegimeLabel.UNSTABLE
 
     def test_boundaries(self):
-        assert react_no_anticipation_regime(math.exp(-1) / 2).label is RegimeLabel.BOUNDARY
-        assert react_no_anticipation_regime(math.pi / 4).label is RegimeLabel.BOUNDARY
+        assert react_no_anticipation_regime(math.exp(-1) / 2) is RegimeLabel.BOUNDARY
+        assert react_no_anticipation_regime(math.pi / 4) is RegimeLabel.BOUNDARY
 
-    def test_thresholds_recorded(self):
-        regime = react_no_anticipation_regime(0.3)
-        assert regime.thresholds["non_oscillatory"] == pytest.approx(math.exp(-1))
-        assert regime.thresholds["instability"] == pytest.approx(math.pi / 2)
+    def test_critical_delay_is_pi_over_four(self):
+        assert CRITICAL_TAU_NO_ANTICIPATION == math.pi / 4
+        assert react_no_anticipation_regime(CRITICAL_TAU_NO_ANTICIPATION) is RegimeLabel.BOUNDARY
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             react_no_anticipation_regime(0.0)
+
+
+def _not_unstable(lam, tau):
+    return react_no_anticipation_regime(tau) is not RegimeLabel.UNSTABLE
+
+
+#: Each overlay curve, by model and label, and the predicate it is the boundary of.
+OVERLAY_PREDICATES = [
+    (ModelKind.TWO_AGENT_TRANSMISSION, "two-agent-boundary", trans_two_agent_stable),
+    (ModelKind.TRANSMISSION, "consensus-guarantee", theorem_transmission_condition),
+    (ModelKind.TWO_AGENT_REACTION, "sufficient-condition", react_two_agent_sufficient),
+    (ModelKind.TWO_AGENT_REACTION, "no-anticipation-critical", _not_unstable),
+    (ModelKind.REACTION, "sufficient-condition", theorem_reaction_condition),
+]
+
+
+class TestOverlays:
+    def test_reaction_curves(self):
+        curves = {c.label: c for c in analytic_overlays(ModelKind.TWO_AGENT_REACTION,
+                                                        [0.0, 1.0])}
+        suff = curves["sufficient-condition"]
+        np.testing.assert_allclose(suff.tau, [0.5, 0.25])
+        critical = curves["no-anticipation-critical"]
+        np.testing.assert_allclose(critical.tau, CRITICAL_TAU_NO_ANTICIPATION)
+
+    def test_transmission_curve(self):
+        curves = analytic_overlays(ModelKind.TWO_AGENT_TRANSMISSION, [0.0, 0.5, 2.0])
+        assert curves[0].tau[0] == np.inf
+        np.testing.assert_allclose(curves[0].tau[1:], [2.0, 0.5])
+
+    def test_theorem_curves_for_matrix_models(self):
+        trans = analytic_overlays(ModelKind.TRANSMISSION, [2.0])
+        assert trans[0].tau[0] == pytest.approx(0.5)
+        react = analytic_overlays(ModelKind.REACTION, [1.0])
+        assert [c.label for c in react] == ["sufficient-condition"]
+        assert react[0].tau[0] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("model,label,predicate", OVERLAY_PREDICATES)
+    def test_curve_is_its_predicates_boundary(self, model, label, predicate):
+        # Just below the curve the condition holds, just above it fails.
+        lam_values = np.concatenate([np.linspace(0.01, 5.0, 200), [1e-6, 0.25, 1.0, 100.0]])
+        curve, = [c for c in analytic_overlays(model, lam_values) if c.label == label]
+        assert np.array_equal(curve.lam, lam_values)
+        for lam, tau in zip(lam_values.tolist(), curve.tau.tolist()):
+            assert predicate(lam, tau * (1 - 1e-12)), (lam, tau)
+            assert not predicate(lam, tau * (1 + 1e-12)), (lam, tau)

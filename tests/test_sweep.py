@@ -1,4 +1,4 @@
-"""Stability-grid sweeps, boundary bisection, and analytic overlay curves."""
+"""Stability-grid sweeps and boundary bisection."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 
 from nddc.core import Classification, ModelKind
 from nddc.integrator import run
-from nddc.models import react_two_agent_sufficient, trans_two_agent_stable
+from nddc.models import react_two_agent_sufficient
 from nddc.sweep import (
-    CRITICAL_TAU_NO_ANTICIPATION,
     SweepSettings,
-    analytic_overlays,
     boundary_bisect,
     cell_config,
     grid_sweep,
@@ -30,10 +28,9 @@ def sequential_bisect(settings, lam, tau_low, tau_high, iterations):
         if traj.classification is not Classification.INCONCLUSIVE:
             return traj.classification
         retries.append(tau)
-        base_t = settings.t_end if settings.t_end is not None else max(50.0, 40.0 * tau)
         retry = cell_config(settings, lam, tau,
                             steps_per_delay=2 * settings.steps_per_delay,
-                            t_end=2.0 * base_t)
+                            t_end=2.0 * settings.horizon(tau))
         traj = run(retry, tol_low=settings.tol_low, tol_high=settings.tol_high)
         if traj.classification is Classification.CONVERGED:
             return Classification.CONVERGED
@@ -244,31 +241,3 @@ class TestBoundaryBisect:
         assert taus[2.0] < taus[1.0]
         assert abs(taus[1.0] * 1.0 - 1.0) < 0.1
         assert abs(taus[2.0] * 2.0 - 1.0) < 0.1
-
-
-class TestOverlays:
-    def test_reaction_curves(self):
-        curves = {c.label: c for c in analytic_overlays(ModelKind.TWO_AGENT_REACTION,
-                                                        [0.0, 1.0])}
-        suff = curves["sufficient-condition"]
-        np.testing.assert_allclose(suff.tau, [0.5, 0.25])
-        critical = curves["no-anticipation-critical"]
-        np.testing.assert_allclose(critical.tau, CRITICAL_TAU_NO_ANTICIPATION)
-
-    def test_transmission_curve(self):
-        curves = analytic_overlays(ModelKind.TWO_AGENT_TRANSMISSION, [0.0, 0.5, 2.0])
-        assert curves[0].tau[0] == np.inf
-        np.testing.assert_allclose(curves[0].tau[1:], [2.0, 0.5])
-
-    def test_theorem_curves_for_matrix_models(self):
-        trans = analytic_overlays(ModelKind.TRANSMISSION, [2.0])
-        assert trans[0].tau[0] == pytest.approx(0.5)
-        react = analytic_overlays(ModelKind.REACTION, [1.0])
-        assert react[0].tau[0] == pytest.approx(0.25)
-
-    def test_stability_predicates_agree_with_overlay(self):
-        lam = 1.5
-        curves = analytic_overlays(ModelKind.TWO_AGENT_TRANSMISSION, [lam])
-        tau_boundary = curves[0].tau[0]
-        assert trans_two_agent_stable(lam, tau_boundary * 0.99)
-        assert not trans_two_agent_stable(lam, tau_boundary * 1.01)

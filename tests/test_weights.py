@@ -155,9 +155,5 @@ class TestWeightSpec:
         assert WeightSpec(kind="uniform", n=3).build().row_stochastic
         assert WeightSpec(kind="random-row-stochastic", n=4, seed=1).build().row_stochastic
         assert WeightSpec(kind="random-symmetric-bistochastic", n=4, seed=1).build().bi_stochastic
-        explicit = WeightSpec(kind="explicit", matrix=make_uniform(3).weights).build()
-        assert explicit.irreducible
-        with pytest.raises(ValueError):
-            WeightSpec(kind="explicit").build()
         with pytest.raises(ValueError):
             WeightSpec(kind="bogus").build()
