@@ -13,7 +13,6 @@ import numpy as np
 from . import diagnostics, harness, io, presets, sweep
 from .core import ModelKind, integer
 from .integrator import run as run_sim
-from .weights import WeightSpec
 
 #: The generator names ``--weights`` accepts and the WeightSpec kinds they build.
 WEIGHT_KINDS = {
@@ -46,12 +45,9 @@ def _weights_payload(args) -> dict | None:
     if args.weights is None:
         return None
     if args.weights in WEIGHT_KINDS:
-        return {
-            "kind": WEIGHT_KINDS[args.weights],
-            "n": args.n if args.n is not None else 2,
-            "min_off_diagonal": args.min_off_diagonal,
-            "seed": args.seed if args.seed is not None else 0,
-        }
+        spec = {"kind": WEIGHT_KINDS[args.weights], "n": args.n,
+                "min_off_diagonal": args.min_off_diagonal, "seed": args.seed}
+        return {key: value for key, value in spec.items() if value is not None}
     with open(args.weights) as fh:
         return json.load(fh)
 
@@ -193,12 +189,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate_weights(args) -> int:
     try:
-        # Both paths return a validated matrix with its flags set.
-        if args.weights in WEIGHT_KINDS:
-            wm = WeightSpec(kind=WEIGHT_KINDS[args.weights], n=args.n,
-                            min_off_diagonal=args.min_off_diagonal, seed=args.seed).build()
-        else:
-            wm = io.load_weights(args.weights)
+        # A generator name or a file, read as ``run --weights`` reads it.
+        wm = io.weights_from_dict(_weights_payload(args))
     except (ValueError, OSError) as exc:
         print(f"invalid weights: {exc}", file=sys.stderr)
         return 1
@@ -211,7 +203,8 @@ def _cmd_validate_weights(args) -> int:
 def _cmd_check_theorems(args) -> int:
     ok = harness.check_theorems(count=args.instances, base_seed=args.seed,
                                 t_end=args.t_end, report=print)
-    print("all theorem checks passed" if ok else "THEOREM CHECK FAILURES")
+    print("all theorem checks passed" if ok else "THEOREM CHECK FAILURES",
+          file=sys.stdout if ok else sys.stderr)
     return 0 if ok else 1
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -174,9 +175,86 @@ def integer(name: str, value, minimum: Optional[int] = None) -> int:
     return int(value)
 
 
+def real(name: str, value, minimum: Optional[float] = None) -> float:
+    """``value`` as a finite float. A bool, str, None or other non-number, or a
+    value below ``minimum`` when one is given, raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # NaN fails the comparison, and so does an int past the largest double.
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+    return float(value)
+
+
+def _mesh_steps(tau: float, steps_per_delay: int, t_end: float) -> tuple[float, float]:
+    # The step dt (tau / m, or 1 / m at tau = 0, where the model is an ODE) and
+    # t_end / dt, which must be finite, for a finite and positive t_end.
+    dt = tau / steps_per_delay if tau > 0 else 1.0 / steps_per_delay
+    steps = check_horizon(t_end) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end = {t_end} is too many steps of dt = {dt}")
+    return dt, steps
+
+
+@dataclass(frozen=True)
+class Mesh:
+    """Equidistant time mesh with the delay an exact integer multiple of the step.
+
+    For tau = 0 the model degenerates to an ODE; the step is then
+    1/steps_per_delay (steps_per_delay steps per unit time). ``build`` takes
+    tau and steps_per_delay as ``SimConfig`` has checked them.
+    """
+
+    tau: float
+    steps_per_delay: int
+    step_size: float
+    total_steps: int
+
+    @classmethod
+    def build(cls, tau: float, steps_per_delay: int, t_end: float) -> "Mesh":
+        dt, ratio = _mesh_steps(tau, steps_per_delay, t_end)
+        total = int(round(ratio))
+        if total < 1 or abs(total * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+            raise MeshAlignmentError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+        return cls(tau=float(tau), steps_per_delay=int(steps_per_delay),
+                   step_size=dt, total_steps=total)
+
+    @property
+    def datum_times(self) -> np.ndarray:
+        """Mesh points of [-tau, 0] (the single point 0 when tau = 0)."""
+        if self.tau == 0:
+            return np.zeros(1)
+        return np.arange(-self.steps_per_delay, 1) * self.step_size
+
+
+def default_horizon(tau: float) -> float:
+    """The horizon of a run given none, max(50, 40*tau), before mesh alignment."""
+    return float(max(50, 40 * tau))
+
+
+def check_horizon(t_target: float) -> float:
+    """``t_target``, which must be finite and positive, else ValueError."""
+    if not (math.isfinite(t_target) and t_target > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_target}")
+    return t_target
+
+
+def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
+    """Smallest mesh-multiple horizon >= t_target, which must be finite and
+    positive (``check_horizon``), at a finite tau >= 0 (used by sweeps and presets)."""
+    dt, steps = _mesh_steps(real("tau", tau, minimum=0), steps_per_delay, t_target)
+    return math.ceil(steps - 1e-9) * dt
+
+
 @dataclass
 class SimConfig:
-    """Full description of one simulation run."""
+    """Full description of one simulation run, judged once, when it is built.
+
+    A t_end of None is ``default_horizon(tau)`` rounded up to the mesh. The seed is
+    only a manifest label, so any integer is kept. The run checks the datum it samples.
+    """
 
     model: ModelKind
     tau: float
@@ -185,7 +263,7 @@ class SimConfig:
     n: int = 2
     d: int = 1
     steps_per_delay: int = 32
-    t_end: float = 50.0
+    t_end: Optional[float] = None
     weights: Optional[WeightMatrix] = None
     derivative_mode: DerivativeMode = DerivativeMode.BACKWARD_DIFFERENCE
     seed: int = 0
@@ -193,28 +271,32 @@ class SimConfig:
     def __post_init__(self) -> None:
         self.model = ModelKind(self.model)
         self.derivative_mode = DerivativeMode(self.derivative_mode)
-        for name, value in (("tau", self.tau), ("lambda", self.lam), ("t_end", self.t_end)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
         # A fractional step count would keep dt = tau / m but delay by int(m) steps.
         self.steps_per_delay = integer("steps_per_delay", self.steps_per_delay, minimum=1)
         self.n = integer("n", self.n, minimum=1)
         self.d = integer("d", self.d, minimum=1)
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        # The seed is only a label in manifests; any integer, negative included.
         self.seed = integer("seed", self.seed)
-        if self.weights is not None and not self.model.is_scalar:
-            # Re-derive the flags so a hand-built WeightMatrix is checked (square,
-            # finite, nonnegative) and its flags are true. Imported here because
-            # the weights module imports this one.
-            from .weights import validate
+        self.tau = real("tau", self.tau, minimum=0)
+        self.lam = real("lambda", self.lam, minimum=0)
+        self.t_end = (real("t_end", self.t_end) if self.t_end is not None else
+                      aligned_t_end(self.tau, self.steps_per_delay, default_horizon(self.tau)))
+        Mesh.build(self.tau, self.steps_per_delay, self.t_end)
+        if self.model.is_scalar:
+            if (self.n, self.d) != (1, 1) or self.weights is not None:
+                raise ValueError(f"{self.model.value} takes n = d = 1 and no weights")
+            return
+        if self.weights is None:
+            raise ValueError(f"the {self.model.value} model needs a weight matrix")
+        # Re-derive the flags so a hand-built WeightMatrix is checked (square,
+        # finite, nonnegative) and its flags are true. Imported here because
+        # the weights module imports this one.
+        from .weights import validate
 
-            self.weights = validate(self.weights)
+        self.weights = validate(self.weights)
+        if self.weights.n != self.n:
+            raise ValueError(f"weight matrix size {self.weights.n} does not match n = {self.n}")
+        if self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:
+            raise ValueError("the transmission model needs off-diagonal row sums of 1")
 
 
 @dataclass

@@ -11,6 +11,7 @@ from .core import (
     MACHINE_EPS,
     Classification,
     ClassificationEvidence,
+    Mesh,
     ModelKind,
     Trajectory,
     WeightMatrix,
@@ -353,10 +354,8 @@ def apriori_bounds(traj: Trajectory, rel_slack: float = 1e-9) -> AprioriBounds:
     if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("a-priori bounds need lam*tau <= 1")
     lt = cfg.lam * cfg.tau
-    m = cfg.steps_per_delay
-    dt = cfg.tau / m if cfg.tau > 0 else 1.0 / m
-    datum_times = np.arange(-m, 1) * dt if cfg.tau > 0 else np.zeros(1)
-    d_states, d_derivs = cfg.datum.on_mesh(datum_times)
+    mesh = Mesh.build(cfg.tau, cfg.steps_per_delay, cfg.t_end)
+    d_states, d_derivs = cfg.datum.on_mesh(mesh.datum_times)
     big_m = max(
         float(np.linalg.norm(d_states, axis=2).max()),
         float(np.linalg.norm(d_derivs, axis=2).max()),

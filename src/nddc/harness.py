@@ -7,8 +7,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ConstantDatum, ModelKind, SimConfig, Trajectory, integer
-from .integrator import aligned_t_end, check_horizon, run
+from .core import (ConstantDatum, ModelKind, SimConfig, Trajectory, aligned_t_end,
+                   check_horizon, integer)
+from .integrator import run
 from .weights import make_random_row_stochastic, make_random_symmetric_bistochastic
 
 #: Decay required of d_x(t_end) / d_x(0) by both theorem suites.

@@ -12,7 +12,7 @@ from .core import (
     Classification,
     ClassificationEvidence,
     DerivativeMode,
-    MeshAlignmentError,
+    Mesh,
     ModelKind,
     NonFiniteStateError,
     SimConfig,
@@ -20,68 +20,6 @@ from .core import (
     diameter_series,
 )
 from .diagnostics import classify_series
-
-
-@dataclass(frozen=True)
-class Mesh:
-    """Equidistant time mesh with the delay an exact integer multiple of the step.
-
-    For tau = 0 the model degenerates to an ODE; the step is then
-    1/steps_per_delay (steps_per_delay steps per unit time).
-    """
-
-    tau: float
-    steps_per_delay: int
-    step_size: float
-    total_steps: int
-
-    @classmethod
-    def build(cls, tau: float, steps_per_delay: int, t_end: float) -> "Mesh":
-        if steps_per_delay < 1:
-            raise ValueError("steps_per_delay must be >= 1")
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
-        if t_end <= 0:
-            raise ValueError("t_end must be positive")
-        dt = tau / steps_per_delay if tau > 0 else 1.0 / steps_per_delay
-        ratio = t_end / dt
-        total = int(round(ratio))
-        if total < 1 or abs(total * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-            raise MeshAlignmentError(
-                f"t_end = {t_end} is not an integer multiple of dt = {dt}"
-            )
-        return cls(tau=float(tau), steps_per_delay=int(steps_per_delay),
-                   step_size=dt, total_steps=total)
-
-    @property
-    def datum_times(self) -> np.ndarray:
-        """Mesh points of [-tau, 0] (the single point 0 when tau = 0)."""
-        if self.tau == 0:
-            return np.zeros(1)
-        return np.arange(-self.steps_per_delay, 1) * self.step_size
-
-
-def default_horizon(tau: float) -> float:
-    """The horizon of a run given none, max(50, 40*tau), before mesh alignment."""
-    return max(50.0, 40.0 * tau)
-
-
-def check_horizon(t_target: float) -> float:
-    """``t_target``, which must be finite and positive, else ValueError."""
-    if not (math.isfinite(t_target) and t_target > 0):
-        raise ValueError(f"t_end must be finite and positive, got {t_target}")
-    return t_target
-
-
-def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
-    """Smallest mesh-multiple horizon >= t_target (used by sweeps and presets).
-
-    ``t_target`` must be finite and positive (``check_horizon``), and ``tau`` finite.
-    """
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    dt = tau / steps_per_delay if tau > 0 else 1.0 / steps_per_delay
-    return math.ceil(check_horizon(t_target) / dt - 1e-9) * dt
 
 
 def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -141,12 +79,7 @@ def _block_advance(config: SimConfig, dt: float, delayed: bool):
         return advance
 
     weights = config.weights
-    if model is ModelKind.TRANSMISSION:
-        if not weights.row_stochastic:
-            raise ValueError("transmission model requires off-diagonal row sums equal to 1")
-        w = weights.off_diagonal()
-    else:
-        w = weights.weights
+    w = weights.off_diagonal() if model is ModelKind.TRANSMISSION else weights.weights
     if not delayed:
         # tau = 0 degenerates both models to ODEs; implicit Euler is solved in
         # increment form so a consensus state stays an exact fixed point.
@@ -277,18 +210,8 @@ def _integrate(configs: list, record: bool) -> list[tuple]:
     if len({(c.model, c.steps_per_delay, c.derivative_mode, c.n, c.d) for c in configs}) > 1:
         raise ValueError("lanes must share the model, steps_per_delay, derivative mode, n and d")
     config = configs[0]
-    if config.model.is_scalar:
-        if config.d != 1:
-            raise ValueError("two-agent reductions track a scalar gap; use d = 1")
-        shape = (1, 1)
-    else:
-        if config.weights is None:
-            raise ValueError("N-agent models need a weight matrix")
-        if config.weights.n != config.n:
-            raise ValueError("weight matrix size does not match n")
-        if len(configs) != 1:
-            raise ValueError("N-agent models run one lane at a time")
-        shape = (config.n, config.d)
+    if not config.model.is_scalar and len(configs) != 1:
+        raise ValueError("N-agent models run one lane at a time")
     meshes = [Mesh.build(c.tau, c.steps_per_delay, c.t_end) for c in configs]
     lanes = [None] * len(configs)
     for delayed in (True, False):
@@ -297,8 +220,8 @@ def _integrate(configs: list, record: bool) -> list[tuple]:
         order = sorted((i for i, mesh in enumerate(meshes) if (mesh.tau > 0) is delayed),
                        key=lambda i: -meshes[i].total_steps)
         if order:
-            batch = _run_batch([configs[i] for i in order], [meshes[i] for i in order], shape,
-                               record)
+            batch = _run_batch([configs[i] for i in order], [meshes[i] for i in order],
+                               (config.n, config.d), record)
             for i, lane in zip(order, batch):
                 lanes[i] = lane
     return lanes

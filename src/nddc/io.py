@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -12,16 +13,13 @@ import numpy as np
 from .core import (
     ConstantDatum,
     Datum,
-    DerivativeMode,
     LinearDatum,
     ModelKind,
     SampledDatum,
     SimConfig,
     Trajectory,
-    integer,
 )
 from .diagnostics import IJReport, LyapunovSeries
-from .integrator import Mesh, aligned_t_end, default_horizon
 from .sweep import StabilityGrid
 from .weights import WeightMatrix, WeightSpec, validate
 
@@ -29,7 +27,29 @@ TOOL_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
-# weights and datum JSON schemas
+# weights and datum JSON schemas: the readers check the JSON's structure, and
+# WeightSpec and SimConfig judge the values, which pass through unconverted.
+
+
+def _object(name: str, payload) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _key(name: str, payload: dict, key: str):
+    if key not in payload:
+        raise ValueError(f"{name} needs a {key!r}")
+    return payload[key]
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    # A JSON number or rectangular array of numbers as floats: strings,
+    # booleans, nulls and ragged rows are rejected, not converted.
+    leaves = np.asarray(value, dtype=object)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in leaves.flat):
+        raise ValueError(f"{name} must be a number or a rectangular array of numbers")
+    return leaves.astype(float)
 
 
 def weights_to_dict(weights: WeightMatrix) -> dict:
@@ -37,17 +57,14 @@ def weights_to_dict(weights: WeightMatrix) -> dict:
 
 
 def weights_from_dict(payload) -> WeightMatrix:
+    """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object."""
     if isinstance(payload, list):
-        return validate(np.asarray(payload, dtype=float))
+        return validate(_numbers("weights", payload))
+    payload = _object("weights", payload)
     if "matrix" in payload:
-        return validate(np.asarray(payload["matrix"], dtype=float))
-    spec = WeightSpec(
-        kind=payload["kind"],
-        n=integer("n", payload.get("n", 2), minimum=1),
-        min_off_diagonal=payload.get("min_off_diagonal"),
-        seed=integer("seed", payload.get("seed", 0), minimum=0),
-    )
-    return spec.build()
+        return validate(_numbers("weights 'matrix'", payload["matrix"]))
+    given = {key: payload[key] for key in ("n", "min_off_diagonal", "seed") if key in payload}
+    return WeightSpec(kind=_key("weights", payload, "kind"), **given).build()
 
 
 def load_weights(path) -> WeightMatrix:
@@ -76,27 +93,22 @@ def datum_to_dict(datum: Datum) -> dict:
     raise TypeError(f"unknown datum type: {type(datum)!r}")
 
 
-def datum_from_dict(payload: dict, n: int, d: int) -> Datum:
-    kind = payload["kind"]
+def datum_from_dict(payload, n: int, d: int) -> Datum:
+    """The datum of a JSON object, in which a scalar array fills n x d."""
+    payload = _object("datum", payload)
+
+    def array(key: str) -> np.ndarray:
+        values = _numbers(f"datum {key!r}", _key("datum", payload, key))
+        return np.full((n, d), float(values)) if values.ndim == 0 else values
+
+    kind = _key("datum", payload, "kind")
     if kind == "constant":
-        values = np.asarray(payload["values"], dtype=float)
-        if values.ndim == 0:
-            values = np.full((n, d), float(values))
-        return ConstantDatum(values)
+        return ConstantDatum(array("values"))
     if kind == "linear":
-        start = np.asarray(payload["start"], dtype=float)
-        slope = np.asarray(payload["slope"], dtype=float)
-        if start.ndim == 0:
-            start = np.full((n, d), float(start))
-        if slope.ndim == 0:
-            slope = np.full((n, d), float(slope))
-        return LinearDatum(start, slope)
+        return LinearDatum(array("start"), array("slope"))
     if kind == "table":
-        return SampledDatum(
-            times=np.asarray(payload["times"], dtype=float),
-            states=np.asarray(payload["states"], dtype=float),
-            derivs=np.asarray(payload["derivatives"], dtype=float),
-        )
+        return SampledDatum(times=array("times"), states=array("states"),
+                            derivs=array("derivatives"))
     raise ValueError(f"unknown datum kind: {kind!r}")
 
 
@@ -120,60 +132,40 @@ def config_to_dict(config: SimConfig) -> dict:
     }
 
 
-def config_from_dict(payload: dict) -> SimConfig:
-    model = ModelKind(payload["model"])
-    n = integer("n", payload.get("n", 1 if model.is_scalar else 2), minimum=1)
-    d = integer("d", payload.get("d", 1), minimum=1)
-    tau = float(payload["tau"])
-    weights = None
-    if payload.get("weights") is not None:
-        weights = weights_from_dict(payload["weights"])
+def config_from_dict(payload) -> SimConfig:
+    """The SimConfig of a JSON object with a "model" and a "tau". Defaults: n = 1
+    for the gap models, else 2 with uniform weights, a constant datum 1, and
+    SimConfig's own; a null "t_end" or "weights" is the default."""
+    payload = _object("config", payload)
+    model = ModelKind(_key("config", payload, "model"))
+    n = payload.get("n", 1 if model.is_scalar else 2)
+    weights = payload.get("weights")
+    if weights is not None:
+        weights = weights_from_dict(weights)
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
-    steps = payload.get("steps_per_delay", 32)
-    t_end = payload.get("t_end")
-    if t_end is None:
-        t_end = aligned_t_end(tau, steps, default_horizon(tau))
-    datum_payload = payload.get("datum", {"kind": "constant", "values": 1.0})
-    shape_n = 1 if model.is_scalar else n
-    return SimConfig(
-        model=model,
-        tau=tau,
-        lam=float(payload.get("lambda", 0.0)),
-        datum=datum_from_dict(datum_payload, shape_n, d),
-        n=n,
-        d=d,
-        steps_per_delay=steps,
-        t_end=float(t_end),
-        weights=weights,
-        derivative_mode=DerivativeMode(payload.get("derivative_mode",
-                                                   DerivativeMode.BACKWARD_DIFFERENCE)),
-        seed=payload.get("seed", 0),
-    )
+    given = {key: payload[key] for key in ("d", "steps_per_delay", "t_end",
+                                           "derivative_mode", "seed") if key in payload}
+    config = SimConfig(model=model, tau=_key("config", payload, "tau"),
+                       lam=payload.get("lambda", 0.0), datum=None, n=n, weights=weights,
+                       **given)
+    # The datum is read last, at the checked n and d its scalars fill.
+    config.datum = datum_from_dict(payload.get("datum", {"kind": "constant", "values": 1.0}),
+                                   config.n, config.d)
+    return config
 
 
 def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
-    """Build a SimConfig from an optional JSON file plus override values.
-
-    Overrides (typically command-line flags) win over file entries. Defaults:
-    steps_per_delay 32, constant datum 1, t_end the first mesh multiple of
-    the default horizon (``integrator.default_horizon``). A user-supplied t_end that is not a mesh multiple is an
-    error.
-    """
+    """Build a SimConfig (``config_from_dict``) from an optional JSON file plus
+    override values, typically command-line flags, which win unless None."""
     payload: dict = {}
     if path is not None:
         with open(path) as fh:
-            payload.update(json.load(fh))
+            payload = _object("config", json.load(fh))
     for key, value in (overrides or {}).items():
         if value is not None:
             payload[key] = value
-    if "model" not in payload:
-        raise ValueError("config needs a 'model'")
-    if "tau" not in payload:
-        raise ValueError("config needs a 'tau'")
-    config = config_from_dict(payload)
-    Mesh.build(config.tau, config.steps_per_delay, config.t_end)
-    return config
+    return config_from_dict(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ def _gap_run(model: ModelKind, tau: float, lam: float, t_end: float) -> SimConfi
         lam=lam,
         datum=ConstantDatum([[1.0]]),
         n=1,
-        d=1,
         steps_per_delay=FIGURE_STEPS_PER_DELAY,
         t_end=t_end,
     )

@@ -10,9 +10,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Classification, ConstantDatum, ModelKind, SimConfig, integer
+from .core import (Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end,
+                   default_horizon, integer)
 # ``run`` stays importable from this module for callers that time single cells.
-from .integrator import aligned_t_end, classify_lanes, default_horizon, run  # noqa: F401
+from .integrator import classify_lanes, run  # noqa: F401
 from .models import analytic_overlays
 
 #: Bisection steps resolved per batched round (2**k - 1 lanes), from
@@ -74,7 +75,6 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
         lam=lam,
         datum=ConstantDatum([[settings.datum_value]]),
         n=1,
-        d=1,
         steps_per_delay=m,
         t_end=aligned_t_end(tau, m, target),
     )

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import WeightMatrix
+from .core import WeightMatrix, integer, real
 
 #: Tolerance for row/column sum checks.
 SUM_TOL = 1e-12
@@ -146,21 +146,32 @@ def gamma(matrix: WeightMatrix) -> float:
 
 @dataclass
 class WeightSpec:
-    """Generator recipe for a weight matrix (used by configs and the CLI)."""
+    """Generator recipe for a weight matrix (used by configs and the CLI).
+
+    The seed must be >= 0, as every generator's random stream needs, and
+    ``min_off_diagonal`` (default 0.5/(n-1)) is for random-row-stochastic only.
+    """
 
     kind: str
     n: int = 2
     min_off_diagonal: Optional[float] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("uniform", "random-row-stochastic", "random-symmetric-bistochastic"):
+            raise ValueError(f"unknown weight spec kind: {self.kind!r}")
+        self.n = integer("n", self.n)
+        self.seed = integer("seed", self.seed, minimum=0)
+        if self.min_off_diagonal is not None:
+            if self.kind != "random-row-stochastic":
+                raise ValueError("min_off_diagonal applies to random-row-stochastic weights only")
+            self.min_off_diagonal = real("min_off_diagonal", self.min_off_diagonal)
+
     def build(self) -> WeightMatrix:
         if self.kind == "uniform":
             return make_uniform(self.n)
-        if self.kind == "random-row-stochastic":
-            floor = self.min_off_diagonal
-            if floor is None:
-                floor = 0.5 / (self.n - 1)
-            return make_random_row_stochastic(self.n, floor, self.seed)
         if self.kind == "random-symmetric-bistochastic":
             return make_random_symmetric_bistochastic(self.n, self.seed)
-        raise ValueError(f"unknown weight spec kind: {self.kind!r}")
+        floor = self.min_off_diagonal
+        return make_random_row_stochastic(
+            self.n, floor if floor is not None else 0.5 / (self.n - 1), self.seed)

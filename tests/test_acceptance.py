@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nddc import harness
-from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig
+from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end
 from nddc.diagnostics import (
     apriori_bounds,
     geom_bound_check,
@@ -21,7 +21,7 @@ from nddc.diagnostics import (
     track_ij,
     transmission_decay_coefficient,
 )
-from nddc.integrator import aligned_t_end, refine_oracle, run
+from nddc.integrator import refine_oracle, run
 from nddc.presets import figure_preset
 from nddc.sweep import SweepSettings, boundary_bisect, grid_sweep
 from nddc.weights import gamma, make_random_row_stochastic, make_uniform

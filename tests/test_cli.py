@@ -176,3 +176,58 @@ def test_check_theorems_rejects_bad_t_end(capsys, t_end):
     assert f"t_end must be finite and positive, got {t_end}" in captured.err
     assert captured.out == ""
 
+
+
+GAP_CONFIG = {"model": "two-agent-transmission", "tau": 0.25, "t_end": 1.0}
+
+
+@pytest.mark.parametrize("flags,config,message", [
+    (["--model", "two-agent-transmission", "--tau", "0.25", "--steps-per-delay", "0"], None,
+     "steps_per_delay must be >= 1, got 0"),
+    ([], {**GAP_CONFIG, "tau": None}, "tau must be a real number, got None"),
+    ([], {**GAP_CONFIG, "tau": [1]}, "tau must be a real number, got [1]"),
+    ([], {**GAP_CONFIG, "lambda": None}, "lambda must be a real number, got None"),
+    ([], {**GAP_CONFIG, "steps_per_delay": "8"}, "steps_per_delay must be an integer, got '8'"),
+    ([], [GAP_CONFIG], "config must be a JSON object, got list"),
+    ([], {**GAP_CONFIG, "datum": {"values": 1.0}}, "datum needs a 'kind'"),
+    ([], {**GAP_CONFIG, "t_end": "8"}, "t_end must be a real number, got '8'"),
+    (["--model", "two-agent-reaction", "--tau", "0.25", "--n", "3"], None,
+     "two-agent-reaction takes n = d = 1 and no weights"),
+    (["--model", "two-agent-reaction", "--tau", "0.25", "--weights", "uniform"], None,
+     "two-agent-reaction takes n = d = 1 and no weights"),
+    (["--model", "transmission", "--tau", "0.25", "--weights", "uniform", "--seed", "-1"], None,
+     "seed must be >= 0, got -1"),
+])
+def test_run_rejects_invalid_input(tmp_path, capsys, flags, config, message):
+    # Each of these crashed with a traceback or ran a different system.
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = flags + ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(["run", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random-row", "random-sym"])
+def test_validate_weights_rejects_negative_seed(capsys, kind):
+    # Uniform weights used to pass, and random-row to fail in numpy's words.
+    assert main(["validate-weights", "--weights", kind, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "invalid weights: seed must be >= 0, got -1\n"
+
+
+NOT_NUMBERS = "weights 'matrix' must be a number or a rectangular array of numbers"
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"matrix": [[0.0, "1"], [1.0, 0.0]]}, NOT_NUMBERS),
+    ({"matrix": [[0.0, 1.0], [1.0]]}, NOT_NUMBERS),
+    ({"n": 3}, "weights needs a 'kind'"),
+    ("uniform", "weights must be a JSON object, got str"),
+])
+def test_validate_weights_rejects_malformed_json(tmp_path, capsys, payload, message):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate-weights", "--weights", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid weights: {message}\n"

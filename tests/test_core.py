@@ -15,6 +15,8 @@ from nddc.core import (
     SampledDatum,
     SimConfig,
     WeightMatrix,
+    aligned_t_end,
+    default_horizon,
     diameter,
     diameter_series,
 )
@@ -230,3 +232,52 @@ class TestSimConfig:
         assert config.weights.row_stochastic and config.weights.irreducible
         reference = run(replace(config, weights=make_uniform(2)))
         assert np.array_equal(run(config).states, reference.states)
+
+    @pytest.mark.parametrize("key,value", [("tau", "0.5"), ("tau", None), ("lam", [1.0]),
+                                           ("lam", True), ("t_end", "5")])
+    def test_non_numbers_rejected(self, key, value):
+        # "t_end": "8" used to run as 8.0; null and list values crashed in float().
+        name = "lambda" if key == "lam" else key
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            self._config(**{key: value})
+
+    @pytest.mark.parametrize("key,message", [("tau", "tau must be >= 0"),
+                                             ("lam", "lambda must be >= 0"),
+                                             ("t_end", "t_end must be finite and positive")])
+    def test_negative_values_rejected(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            self._config(**{key: -1})
+
+    def test_default_horizon_is_aligned(self):
+        config = self._config(tau=0.3, steps_per_delay=32, t_end=None)
+        assert config.t_end == aligned_t_end(0.3, 32, default_horizon(0.3))
+
+    def test_huge_horizon_rejected(self):
+        with pytest.raises(ValueError, match="too many steps"):
+            self._config(tau=0.0, t_end=1e308)
+
+    # The model-shape rules, checked when the config is built rather than
+    # when it is run.
+
+    @pytest.mark.parametrize("overrides", [dict(n=2), dict(d=2), dict(weights=make_uniform(2))])
+    def test_gap_model_takes_one_scalar_gap(self, overrides):
+        with pytest.raises(ValueError, match="takes n = d = 1 and no weights"):
+            self._config(**overrides)
+
+    def test_n_agent_model_needs_weights(self):
+        with pytest.raises(ValueError, match="reaction model needs a weight matrix"):
+            self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]))
+
+    def test_weight_size_must_match_n(self):
+        with pytest.raises(ValueError, match="weight matrix size 3 does not match n = 2"):
+            self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                         weights=make_uniform(3))
+
+    def test_transmission_needs_row_stochastic_weights(self):
+        halves = WeightMatrix([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="off-diagonal row sums of 1"):
+            self._config(model="transmission", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                         weights=halves)
+        config = self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                              weights=halves)
+        assert not config.weights.row_stochastic

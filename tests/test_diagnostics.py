@@ -393,7 +393,7 @@ class TestAprioriBounds:
             apriori_bounds(traj)
 
     def test_randomized_runs_hold(self):
-        from nddc.integrator import aligned_t_end
+        from nddc.core import aligned_t_end
 
         rng = np.random.default_rng(77)
         for trial in range(20):

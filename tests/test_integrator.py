@@ -16,8 +16,9 @@ from nddc.core import (
     NonFiniteStateError,
     SampledDatum,
     SimConfig,
+    aligned_t_end,
 )
-from nddc.integrator import Mesh, aligned_t_end, refine_oracle, run
+from nddc.integrator import Mesh, refine_oracle, run
 from nddc.weights import make_random_row_stochastic, make_random_symmetric_bistochastic, make_uniform
 from test_kernel_reference import reference_run
 

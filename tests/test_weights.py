@@ -157,3 +157,25 @@ class TestWeightSpec:
         assert WeightSpec(kind="random-symmetric-bistochastic", n=4, seed=1).build().bi_stochastic
         with pytest.raises(ValueError):
             WeightSpec(kind="bogus").build()
+
+    @pytest.mark.parametrize("kind", ["uniform", "random-row-stochastic",
+                                      "random-symmetric-bistochastic"])
+    def test_negative_seed_rejected_for_every_kind(self, kind):
+        # The generators draw from default_rng(seed), which needs seed >= 0;
+        # uniform weights used to accept the seed they ignore.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            WeightSpec(kind=kind, n=3, seed=-1)
+
+    @pytest.mark.parametrize("key,value", [("n", "3"), ("seed", True)])
+    def test_non_integers_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            WeightSpec(kind="random-symmetric-bistochastic", **{key: value})
+
+    def test_min_off_diagonal_only_for_random_row(self):
+        with pytest.raises(ValueError, match="random-row-stochastic weights only"):
+            WeightSpec(kind="uniform", n=3, min_off_diagonal=0.2)
+        with pytest.raises(ValueError, match="min_off_diagonal must be a real number"):
+            WeightSpec(kind="random-row-stochastic", n=3, min_off_diagonal="0.2")
+        spec = WeightSpec(kind="random-row-stochastic", n=3, min_off_diagonal=0.2, seed=4)
+        assert np.array_equal(spec.build().weights,
+                              make_random_row_stochastic(3, 0.2, seed=4).weights)
