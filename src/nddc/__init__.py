@@ -20,7 +20,6 @@ from .weights import (
     make_random_row_stochastic,
     make_random_symmetric_bistochastic,
     make_uniform,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -47,6 +46,5 @@ __all__ = [
     "refine_oracle",
     "run",
     "run_lanes",
-    "validate",
     "__version__",
 ]

@@ -55,15 +55,19 @@ def _weights_payload(args) -> dict | None:
 def _datum_payload(value: str | None) -> dict | None:
     if value is None:
         return None
-    if value.startswith("constant:"):
-        return {"kind": "constant", "values": float(value.split(":", 1)[1])}
-    if value.startswith("linear:"):
-        a, b = value.split(":", 1)[1].split(",")
-        return {"kind": "linear", "start": float(a), "slope": float(b)}
-    if value.startswith("file:"):
-        with open(value.split(":", 1)[1]) as fh:
+    kind, _, rest = value.partition(":")
+    if kind == "file":
+        with open(rest) as fh:
             return json.load(fh)
-    raise ValueError(f"cannot parse datum spec {value!r}")
+    try:
+        if kind == "constant":
+            return {"kind": "constant", "values": float(rest)}
+        if kind == "linear":
+            a, b = rest.split(",")
+            return {"kind": "linear", "start": float(a), "slope": float(b)}
+    except ValueError:
+        pass
+    raise ValueError(f"--datum must be constant:C, linear:A,B or file:PATH, got {value!r}")
 
 
 def _overrides(args) -> dict:
@@ -236,7 +240,7 @@ def main(argv=None) -> int:
     p_fig.add_argument("--out", type=Path, default=Path("nddc-out"))
     p_fig.set_defaults(func=_cmd_figure)
 
-    p_val = sub.add_parser("validate-weights", help="set and print structural flags")
+    p_val = sub.add_parser("validate-weights", help="print structural flags")
     p_val.add_argument("--weights", required=True)
     p_val.add_argument("--n", type=int, default=2)
     p_val.add_argument("--min-off-diagonal", type=float)
@@ -253,8 +257,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A request too large for memory is refused like any bad input.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,7 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -59,34 +59,82 @@ class Classification(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class WeightMatrix:
-    """Nonnegative N x N communication weights plus validated structural flags.
+#: Tolerance of the structural flags' row, column and symmetry checks.
+SUM_TOL = 1e-12
 
-    Flags are set by ``weights.validate``; constructors return matrices with
-    all five flags populated, and ``SimConfig`` re-derives them for N-agent
-    models, so the flags of a hand-built matrix are never trusted.
-    ``row_stochastic`` refers to off-diagonal row sums (the diagonal is ignored
-    by the transmission model and cancels in the reaction model), while
-    ``bi_stochastic`` refers to full row and column sums.
+
+def _strongly_connected(adjacency: np.ndarray) -> bool:
+    """Strong connectivity of the digraph with an edge i -> j iff adjacency[i, j]."""
+
+    def reaches_all(adj: np.ndarray) -> bool:
+        n = adj.shape[0]
+        seen = np.zeros(n, dtype=bool)
+        stack = [0]
+        seen[0] = True
+        while stack:
+            node = stack.pop()
+            for nxt in np.nonzero(adj[node])[0]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(int(nxt))
+        return bool(seen.all())
+
+    return reaches_all(adjacency) and reaches_all(adjacency.T)
+
+
+@dataclass(frozen=True)
+class WeightMatrix:
+    """Nonnegative N x N communication weights and their five structural flags.
+
+    Built from a square, finite, nonnegative matrix with N >= 2, of which it
+    keeps a read-only copy; the flags are computed from that copy, so they are
+    always true of it. ``row_stochastic`` refers to off-diagonal row sums (the
+    diagonal is ignored by the transmission model and cancels in the reaction
+    model), while ``bi_stochastic`` refers to full row and column sums.
+    Irreducibility is decided by graph reachability over strictly positive
+    off-diagonal entries (an edge exists iff the weight is > 0 exactly).
     """
 
     weights: np.ndarray
-    row_stochastic: bool = False
-    symmetric: bool = False
-    bi_stochastic: bool = False
-    positive_off_diagonal: bool = False
-    irreducible: bool = False
+    row_stochastic: bool = field(init=False)
+    symmetric: bool = field(init=False)
+    bi_stochastic: bool = field(init=False)
+    positive_off_diagonal: bool = field(init=False)
+    irreducible: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError("weight matrix must be square")
+        n = w.shape[0]
+        if n < 2:
+            raise ValueError("weight matrix needs at least two agents")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight matrix has non-finite entries")
+        if np.any(w < 0):
+            raise ValueError("weight matrix has negative entries")
+        w.flags.writeable = False
+
+        off = w.copy()
+        np.fill_diagonal(off, 0.0)
+        flags = dict(
+            weights=w,
+            row_stochastic=bool(np.max(np.abs(off.sum(axis=1) - 1.0)) <= SUM_TOL),
+            symmetric=bool(np.max(np.abs(w - w.T)) <= SUM_TOL),
+            bi_stochastic=bool(np.max(np.abs(w.sum(axis=1) - 1.0)) <= SUM_TOL
+                               and np.max(np.abs(w.sum(axis=0) - 1.0)) <= SUM_TOL),
+            positive_off_diagonal=bool(np.all(w[~np.eye(n, dtype=bool)] > 0.0)),
+            irreducible=_strongly_connected(off > 0.0),
+        )
+        for name, value in flags.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
     def off_diagonal(self) -> np.ndarray:
-        """The matrix with the diagonal zeroed (read-only view when already zero)."""
+        """The matrix with the diagonal zeroed (``weights`` itself when that is already zero)."""
         if not self.weights.diagonal().any():
             return self.weights
         w = self.weights.copy()
@@ -285,14 +333,9 @@ class SimConfig:
             if (self.n, self.d) != (1, 1) or self.weights is not None:
                 raise ValueError(f"{self.model.value} takes n = d = 1 and no weights")
             return
-        if self.weights is None:
-            raise ValueError(f"the {self.model.value} model needs a weight matrix")
-        # Re-derive the flags so a hand-built WeightMatrix is checked (square,
-        # finite, nonnegative) and its flags are true. Imported here because
-        # the weights module imports this one.
-        from .weights import validate
-
-        self.weights = validate(self.weights)
+        if not isinstance(self.weights, WeightMatrix):
+            raise ValueError(f"the {self.model.value} model needs a weight matrix, "
+                             f"got {type(self.weights).__name__}")
         if self.weights.n != self.n:
             raise ValueError(f"weight matrix size {self.weights.n} does not match n = {self.n}")
         if self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:

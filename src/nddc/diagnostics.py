@@ -20,6 +20,16 @@ from .core import (
 from .models import theorem_reaction_condition, theorem_transmission_condition
 from .weights import gamma
 
+#: The thresholds of ``classify_series`` and the share of a run its trailing
+#: window covers.
+TOL_LOW = 1e-3
+TOL_HIGH = 1e3
+TRAILING_FRACTION = 0.2
+#: A Lyapunov decrement may exceed its bound by LYAPUNOV_TOL_SCALE * (1 + |L(n0)|).
+LYAPUNOV_TOL_SCALE = 1e-8
+#: Relative rounding slack on the a-priori state and derivative bounds.
+APRIORI_REL_SLACK = 1e-9
+
 
 def transmission_decay_coefficient(gam: float, lam: float, tau: float) -> float:
     """Decay-rate coefficient (1 - gamma) * (1 - lam*tau*gamma) of the transmission functional."""
@@ -90,8 +100,9 @@ class LyapunovSeries:
     """A monitored functional along a run: values, per-step decrements, bounds.
 
     ``violations`` counts steps whose decrement exceeds the admissible bound by
-    more than ``tolerance``; ``worst_margin`` is the largest observed
-    decrement-minus-bound (negative when the inequality holds strictly).
+    more than ``tolerance`` (see LYAPUNOV_TOL_SCALE); ``worst_margin`` is the
+    largest observed decrement-minus-bound (negative when the inequality holds
+    strictly).
     """
 
     times: np.ndarray
@@ -144,17 +155,41 @@ def track_ij(traj: Trajectory) -> IJReport:
     )
 
 
+def _monitor_mesh(traj: Trajectory) -> tuple[int, float, int]:
+    # m, dt and the step count of a run, whose history must reach 2*tau.
+    m = traj.config.steps_per_delay
+    total = len(traj.times) - 1
+    if total < 2 * m + 1:
+        raise ValueError("history depth must reach 2*tau")
+    return m, traj.times[1] - traj.times[0], total
+
+
+def _lyapunov_series(traj: Trajectory, nodes: np.ndarray, values: np.ndarray,
+                     bounds: np.ndarray, params: dict) -> LyapunovSeries:
+    # The functional at ``nodes`` checked against the bounds on its decrements.
+    decrements = np.diff(values)
+    tolerance = LYAPUNOV_TOL_SCALE * (1.0 + abs(values[0]))
+    margins = decrements - bounds
+    return LyapunovSeries(
+        times=traj.times[nodes],
+        values=values,
+        decrements=decrements,
+        bounds=bounds,
+        tolerance=tolerance,
+        violations=int(np.sum(margins > tolerance)),
+        worst_margin=float(margins.max()) if len(margins) else float("-inf"),
+        params=params,
+    )
+
+
 def _windowed_sum(series: np.ndarray, width: int, ends: np.ndarray) -> np.ndarray:
     # sum_{k = end-width+1}^{end} series[k] for each end index.
     padded = np.concatenate([[0.0], np.cumsum(series)])
     return padded[ends + 1] - padded[ends + 1 - width]
 
 
-def lyap_transmission(
-    traj: Trajectory,
-    pair: Optional[tuple[int, int]] = None,
-    tol_scale: float = 1e-8,
-) -> LyapunovSeries:
+def lyap_transmission(traj: Trajectory,
+                      pair: Optional[tuple[int, int]] = None) -> LyapunovSeries:
     """Monitor the transmission Lyapunov functional along a run.
 
     L(n) = 1/2 |(x_I - lam*tau Psi~^I) - (x_K - lam*tau Psi~^K)|^2
@@ -178,12 +213,7 @@ def lyap_transmission(
         raise ValueError("needs row-stochastic weights with positive off-diagonals")
     if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("functional is not sign-definite for lam*tau > 1")
-
-    m = cfg.steps_per_delay
-    dt = traj.times[1] - traj.times[0]
-    total = len(traj.times) - 1
-    if total < 2 * m + 1:
-        raise ValueError("history depth must reach 2*tau")
+    m, dt, total = _monitor_mesh(traj)
 
     if pair is None:
         report = track_ij(traj)
@@ -211,28 +241,15 @@ def lyap_transmission(
     a_part = 0.5 * np.einsum("td,td->t", u, u)
     b_part = kappa * gam**2 * dt * _windowed_sum(dsq, m, nodes)
     values = a_part + b_part
-
-    decrements = np.diff(values)
     bounds = -coeff * dsq[nodes[1:]] * dt
-    tolerance = tol_scale * (1.0 + abs(values[0]))
-    margins = decrements - bounds
-    return LyapunovSeries(
-        times=traj.times[nodes],
-        values=values,
-        decrements=decrements,
-        bounds=bounds,
-        tolerance=tolerance,
-        violations=int(np.sum(margins > tolerance)),
-        worst_margin=float(margins.max()) if len(margins) else float("-inf"),
-        params={
-            "gamma": gam,
-            "kappa": kappa,
-            "decay_coefficient": coeff,
-            "pair_i": pair[0],
-            "pair_k": pair[1],
-            "start_time": float(traj.times[n0]),
-        },
-    )
+    return _lyapunov_series(traj, nodes, values, bounds, {
+        "gamma": gam,
+        "kappa": kappa,
+        "decay_coefficient": coeff,
+        "pair_i": pair[0],
+        "pair_k": pair[1],
+        "start_time": float(traj.times[n0]),
+    })
 
 
 def _phi_and_dissimilarity(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +264,7 @@ def _phi_and_dissimilarity(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
             np.maximum(sq @ row + sq @ w.sum(axis=0) - 2.0 * cross, 0.0))
 
 
-def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
+def lyap_reaction(traj: Trajectory) -> LyapunovSeries:
     """Monitor the reaction Lyapunov functional along a run.
 
     With eps = 2*lam and delta = (1+2*lam)*tau the functional's three
@@ -268,12 +285,7 @@ def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
         raise ValueError("needs symmetric bi-stochastic weights")
     if not theorem_reaction_condition(cfg.lam, cfg.tau):
         raise ValueError("functional decay requires (1+lam)*tau < 1/2")
-
-    m = cfg.steps_per_delay
-    dt = traj.times[1] - traj.times[0]
-    total = len(traj.times) - 1
-    if total < 2 * m + 1:
-        raise ValueError("history depth must reach 2*tau")
+    m, dt, total = _monitor_mesh(traj)
 
     lam, tau = cfg.lam, cfg.tau
     lt = lam * tau
@@ -287,10 +299,8 @@ def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
     phi_t, d_series = _phi_and_dissimilarity(states, weights.weights)
     f_series = np.einsum("tid,tid->t", phi_t, phi_t)
 
-    n0 = 2 * m
-    if n0 >= total:
-        raise ValueError("run too short to monitor from t = 2*tau")
-    nodes = np.arange(n0, total + 1)
+    # The history depth check leaves at least one step after t = 2*tau.
+    nodes = np.arange(2 * m, total + 1)
 
     v = states[nodes] - lt * phi_t[nodes - m]
     a_part = 0.5 * np.einsum("tid,tid->t", v, v)
@@ -307,29 +317,17 @@ def lyap_reaction(traj: Trajectory, tol_scale: float = 1e-8) -> LyapunovSeries:
     q_part = 0.5 * dt * dt * (window_jd - (lo - 1) * window_d)
 
     values = a_part + p_part + q_part
-    decrements = np.diff(values)
     bounds = dt * (
         0.5 * (delta - 1.0) * d_series[nodes[1:] - m]
         + 0.5 * tau * d_series[nodes[1:] + 1 - m]
     )
-    tolerance = tol_scale * (1.0 + abs(values[0]))
-    margins = decrements - bounds
-    return LyapunovSeries(
-        times=traj.times[nodes],
-        values=values,
-        decrements=decrements,
-        bounds=bounds,
-        tolerance=tolerance,
-        violations=int(np.sum(margins > tolerance)),
-        worst_margin=float(margins.max()) if len(margins) else float("-inf"),
-        params={
-            "epsilon": 2.0 * lam,
-            "delta": delta,
-            "phi_coefficient": c_phi,
-            "double_integral_coefficient": 0.5,
-            "decay_coefficient": reaction_decay_coefficient(lam, tau),
-        },
-    )
+    return _lyapunov_series(traj, nodes, values, bounds, {
+        "epsilon": 2.0 * lam,
+        "delta": delta,
+        "phi_coefficient": c_phi,
+        "double_integral_coefficient": 0.5,
+        "decay_coefficient": reaction_decay_coefficient(lam, tau),
+    })
 
 
 @dataclass
@@ -342,8 +340,9 @@ class AprioriBounds:
     holds: bool
 
 
-def apriori_bounds(traj: Trajectory, rel_slack: float = 1e-9) -> AprioriBounds:
-    """Check sup |x_i| <= (1+lam*tau) M and recorded |x_i'| <= 3 (1+lam*tau) M.
+def apriori_bounds(traj: Trajectory) -> AprioriBounds:
+    """Check sup |x_i| <= (1+lam*tau) M and recorded |x_i'| <= 3 (1+lam*tau) M,
+    each up to a factor 1 + APRIORI_REL_SLACK.
 
     M is the largest agent-wise Euclidean norm of the datum's states and
     derivatives on [-tau, 0]. Applies to transmission runs with lam*tau <= 1.
@@ -372,7 +371,7 @@ def apriori_bounds(traj: Trajectory, rel_slack: float = 1e-9) -> AprioriBounds:
 
     state_ratio = ratio(state_sup, state_bound)
     deriv_ratio = ratio(deriv_sup, deriv_bound)
-    holds = state_ratio <= 1.0 + rel_slack and deriv_ratio <= 1.0 + rel_slack
+    holds = state_ratio <= 1.0 + APRIORI_REL_SLACK and deriv_ratio <= 1.0 + APRIORI_REL_SLACK
     return AprioriBounds(
         datum_bound=big_m,
         state_ratio=state_ratio,
@@ -385,22 +384,21 @@ def classify_series(
     diameters: np.ndarray,
     aborted: bool = False,
     abort_step: Optional[int] = None,
-    tol_low: float = 1e-3,
-    tol_high: float = 1e3,
-    trailing_fraction: float = 0.2,
+    tol_low: float = TOL_LOW,
+    tol_high: float = TOL_HIGH,
 ) -> tuple[Classification, ClassificationEvidence]:
     """Classify a diameter series as Converged / Diverged / Inconclusive.
 
     Converged: final diameter below tol_low * max(d_x(0), machine epsilon).
-    Diverged: run aborted, or the trailing-window peak exceeds
-    tol_high * max(1, d_x(0)). Anything else, including neutral oscillation on
+    Diverged: run aborted, or the peak over the last TRAILING_FRACTION of the
+    series exceeds tol_high * max(1, d_x(0)). Anything else, including neutral oscillation on
     a knife edge, stays Inconclusive.
     """
     diameters = np.asarray(diameters, dtype=float)
     count = len(diameters)
     d0 = float(diameters[0])
     final = float(diameters[-1])
-    window = max(1, int(round(trailing_fraction * count)))
+    window = max(1, int(round(TRAILING_FRACTION * count)))
     trailing_peak = float(diameters[-window:].max())
     half = max(1, count // 10)
     prev_peak = float(diameters[-2 * half : -half].max()) if count >= 2 * half else float("nan")

@@ -141,10 +141,12 @@ def check_theorems(
 ) -> bool:
     """Run both suites, optionally printing a pass/fail table. True iff all pass.
 
-    ``count`` instances per suite, an integer >= 1; both it and ``t_end``
-    are checked before the table's header is reported.
+    ``count`` instances per suite, an integer >= 1; it, ``base_seed`` (an
+    integer >= 0, as the generators' random streams need) and ``t_end`` are
+    checked before the table's header is reported.
     """
     count = integer("instance count", count, minimum=1)
+    base_seed = integer("seed", base_seed, minimum=0)
     check_horizon(t_end)
     all_ok = True
     if report:

@@ -19,7 +19,7 @@ from .core import (
     Trajectory,
     diameter_series,
 )
-from .diagnostics import classify_series
+from .diagnostics import TOL_HIGH, TOL_LOW, classify_series
 
 
 def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -133,12 +133,7 @@ def _guard_values(states: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0]).reshape(spread.shape[:2])
 
 
-def run(
-    config: SimConfig,
-    tol_low: float = 1e-3,
-    tol_high: float = 1e3,
-    trailing_fraction: float = 0.2,
-) -> Trajectory:
+def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH) -> Trajectory:
     """Integrate one configuration and classify the resulting trajectory.
 
     The delay is exactly m steps, so the inputs of the next m steps are all
@@ -149,16 +144,13 @@ def run(
     Runs are aborted (classification Diverged) at the first node whose state
     is non-finite or whose opinion diameter exceeds DIVERGENCE_GUARD times
     max(1, d_x(0)); a node over the guard is recorded, a non-finite one is not.
+    ``tol_low`` and ``tol_high`` are ``classify_series``'s.
     """
-    return run_lanes([config], tol_low, tol_high, trailing_fraction)[0]
+    (lane,) = _integrate([config], True)
+    return _assemble(config, *lane, tol_low, tol_high)
 
 
-def run_lanes(
-    configs,
-    tol_low: float = 1e-3,
-    tol_high: float = 1e3,
-    trailing_fraction: float = 0.2,
-) -> list[Trajectory]:
+def run_lanes(configs) -> list[Trajectory]:
     """Run every configuration in ``configs`` as a lane of one batch.
 
     The lanes share the model, steps_per_delay, derivative mode, N and d;
@@ -173,18 +165,10 @@ def run_lanes(
     which runs the same kernel without recording a trajectory.
     """
     configs = list(configs)
-    return [
-        _assemble(config, dt, states, derivs, abort, tol_low, tol_high, trailing_fraction)
-        for config, (dt, states, derivs, abort) in zip(configs, _integrate(configs, True))
-    ]
+    return [_assemble(config, *lane) for config, lane in zip(configs, _integrate(configs, True))]
 
 
-def classify_lanes(
-    configs,
-    tol_low: float = 1e-3,
-    tol_high: float = 1e3,
-    trailing_fraction: float = 0.2,
-) -> list[tuple[Classification, ClassificationEvidence]]:
+def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence]]:
     """The classification and evidence of each lane of ``run_lanes(configs)``.
 
     Entry i equals ``run_lanes(configs)[i]``'s. The lanes run through the same
@@ -195,8 +179,7 @@ def classify_lanes(
     """
     return [
         classify_series(np.abs(states) if states.ndim == 1 else diameter_series(states)[0],
-                        aborted=abort is not None, abort_step=abort, tol_low=tol_low,
-                        tol_high=tol_high, trailing_fraction=trailing_fraction)
+                        aborted=abort is not None, abort_step=abort)
         for _, states, _, abort in _integrate(list(configs), False)
     ]
 
@@ -338,7 +321,7 @@ def _columns(live: list) -> slice | np.ndarray:
 
 
 def _assemble(config, dt, states, derivs, abort_step,
-              tol_low, tol_high, trailing_fraction) -> Trajectory:
+              tol_low=TOL_LOW, tol_high=TOL_HIGH) -> Trajectory:
     count = len(states)
     times = np.arange(count) * dt
     if states.ndim == 1:
@@ -354,7 +337,7 @@ def _assemble(config, dt, states, derivs, abort_step,
         means = states.mean(axis=1)
     classification, evidence = classify_series(
         diameters, aborted=abort_step is not None, abort_step=abort_step,
-        tol_low=tol_low, tol_high=tol_high, trailing_fraction=trailing_fraction,
+        tol_low=tol_low, tol_high=tol_high,
     )
     return Trajectory(
         config=config,

@@ -18,10 +18,11 @@ from .core import (
     SampledDatum,
     SimConfig,
     Trajectory,
+    WeightMatrix,
 )
 from .diagnostics import IJReport, LyapunovSeries
 from .sweep import StabilityGrid
-from .weights import WeightMatrix, WeightSpec, validate
+from .weights import WeightSpec
 
 TOOL_VERSION = "0.1.0"
 
@@ -59,22 +60,12 @@ def weights_to_dict(weights: WeightMatrix) -> dict:
 def weights_from_dict(payload) -> WeightMatrix:
     """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object."""
     if isinstance(payload, list):
-        return validate(_numbers("weights", payload))
+        return WeightMatrix(_numbers("weights", payload))
     payload = _object("weights", payload)
     if "matrix" in payload:
-        return validate(_numbers("weights 'matrix'", payload["matrix"]))
+        return WeightMatrix(_numbers("weights 'matrix'", payload["matrix"]))
     given = {key: payload[key] for key in ("n", "min_off_diagonal", "seed") if key in payload}
     return WeightSpec(kind=_key("weights", payload, "kind"), **given).build()
-
-
-def load_weights(path) -> WeightMatrix:
-    with open(path) as fh:
-        return weights_from_dict(json.load(fh))
-
-
-def save_weights(weights: WeightMatrix, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(weights_to_dict(weights), fh, indent=2)
 
 
 def datum_to_dict(datum: Datum) -> dict:

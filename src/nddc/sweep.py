@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -12,6 +11,7 @@ import numpy as np
 
 from .core import (Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end,
                    default_horizon, integer)
+from .diagnostics import TOL_HIGH, TOL_LOW
 # ``run`` stays importable from this module for callers that time single cells.
 from .integrator import classify_lanes, run  # noqa: F401
 from .models import analytic_overlays
@@ -35,29 +35,21 @@ class SweepSettings:
     ``t_end`` of None means ``default_horizon(tau)``; every horizon is
     rounded up to the next mesh multiple. Only the two-agent reductions are
     swept (the N-agent models have no free scalar gap to classify against a
-    constant datum).
+    constant datum). Every cell starts from the gap 1 and is classified with
+    ``classify_series``'s thresholds, which ``tol_low`` and ``tol_high`` read.
     """
 
     model: ModelKind
     steps_per_delay: int = 32
     t_end: Optional[float] = None
-    datum_value: float = 1.0
-    tol_low: float = 1e-3
-    tol_high: float = 1e3
+    tol_low = TOL_LOW
+    tol_high = TOL_HIGH
 
     def __post_init__(self) -> None:
         if not ModelKind(self.model).is_scalar:
             raise ValueError("sweeps cover the two-agent reduction models only")
         object.__setattr__(self, "steps_per_delay",
                            integer("steps_per_delay", self.steps_per_delay, minimum=1))
-        # A NaN tol_high never fires, tol_low >= tol_high lets a grown cell
-        # read Converged, and a zero datum starts every cell at consensus.
-        if not (math.isfinite(self.tol_low) and math.isfinite(self.tol_high)
-                and 0 < self.tol_low < self.tol_high):
-            raise ValueError("tolerances must be finite with 0 < tol_low < tol_high, "
-                             f"got tol_low={self.tol_low}, tol_high={self.tol_high}")
-        if not math.isfinite(self.datum_value) or self.datum_value == 0:
-            raise ValueError(f"datum_value must be finite and nonzero, got {self.datum_value}")
 
     def horizon(self, tau: float) -> float:
         """The run horizon at ``tau`` before mesh alignment."""
@@ -73,7 +65,7 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
         model=settings.model,
         tau=tau,
         lam=lam,
-        datum=ConstantDatum([[settings.datum_value]]),
+        datum=ConstantDatum([[1.0]]),
         n=1,
         steps_per_delay=m,
         t_end=aligned_t_end(tau, m, target),
@@ -83,8 +75,7 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
 def _eval_row(args) -> list[tuple[str, float, float]]:
     # One tau row of a grid: every lambda is a lane of one batched run.
     settings, lam_values, tau = args
-    verdicts = classify_lanes([cell_config(settings, float(lam), tau) for lam in lam_values],
-                              tol_low=settings.tol_low, tol_high=settings.tol_high)
+    verdicts = classify_lanes([cell_config(settings, float(lam), tau) for lam in lam_values])
     return [
         (label.value, evidence.final_dx, evidence.trailing_ratio)
         for label, evidence in verdicts
@@ -186,13 +177,12 @@ def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]
     # Inconclusive cells get one retry at doubled resolution and horizon, all
     # retries as a second batch, then count as the diverged side
     # (conservative for the stable region).
-    tols = dict(tol_low=settings.tol_low, tol_high=settings.tol_high)
     labels = [label for label, _ in
-              classify_lanes([cell_config(settings, lam, tau) for tau in taus], **tols)]
+              classify_lanes([cell_config(settings, lam, tau) for tau in taus])]
     retry = [i for i, label in enumerate(labels) if label is Classification.INCONCLUSIVE]
     configs = [cell_config(settings, lam, taus[i], steps_per_delay=2 * settings.steps_per_delay,
                            t_end=2.0 * settings.horizon(taus[i])) for i in retry]
-    for i, (label, _) in zip(retry, classify_lanes(configs, **tols)):
+    for i, (label, _) in zip(retry, classify_lanes(configs)):
         converged = label is Classification.CONVERGED
         labels[i] = Classification.CONVERGED if converged else Classification.DIVERGED
     return labels

@@ -1,4 +1,4 @@
-"""Constructors and validators for communication-weight matrices."""
+"""Generators of communication-weight matrices and the contraction factor gamma."""
 
 from __future__ import annotations
 
@@ -9,65 +9,6 @@ import numpy as np
 
 from .core import WeightMatrix, integer, real
 
-#: Tolerance for row/column sum checks.
-SUM_TOL = 1e-12
-
-
-def _strongly_connected(adjacency: np.ndarray) -> bool:
-    """Strong connectivity of the digraph with an edge i -> j iff adjacency[i, j]."""
-
-    def reaches_all(adj: np.ndarray) -> bool:
-        n = adj.shape[0]
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(adj[node])[0]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(int(nxt))
-        return bool(seen.all())
-
-    return reaches_all(adjacency) and reaches_all(adjacency.T)
-
-
-def validate(matrix) -> WeightMatrix:
-    """Set all five structural flags on a square nonnegative matrix.
-
-    Irreducibility is decided by graph reachability over strictly positive
-    off-diagonal entries (an edge exists iff the weight is > 0 exactly).
-    """
-    w = np.asarray(getattr(matrix, "weights", matrix), dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("weight matrix must be square")
-    n = w.shape[0]
-    if n < 2:
-        raise ValueError("weight matrix needs at least two agents")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix has non-finite entries")
-    if np.any(w < 0):
-        raise ValueError("weight matrix has negative entries")
-
-    off = w.copy()
-    np.fill_diagonal(off, 0.0)
-    off_row_sums = off.sum(axis=1)
-    row_sums = w.sum(axis=1)
-    col_sums = w.sum(axis=0)
-    off_mask = ~np.eye(n, dtype=bool)
-
-    return WeightMatrix(
-        weights=w,
-        row_stochastic=bool(np.max(np.abs(off_row_sums - 1.0)) <= SUM_TOL),
-        symmetric=bool(np.max(np.abs(w - w.T)) <= SUM_TOL),
-        bi_stochastic=bool(
-            np.max(np.abs(row_sums - 1.0)) <= SUM_TOL
-            and np.max(np.abs(col_sums - 1.0)) <= SUM_TOL
-        ),
-        positive_off_diagonal=bool(np.all(w[off_mask] > 0.0)),
-        irreducible=_strongly_connected(off > 0.0),
-    )
-
 
 def make_uniform(n: int) -> WeightMatrix:
     """All-to-all weights 1/(N-1) with zero diagonal (both entries 1 at N=2)."""
@@ -75,7 +16,7 @@ def make_uniform(n: int) -> WeightMatrix:
         raise ValueError("uniform weights need N >= 2")
     w = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(w, 0.0)
-    return validate(w)
+    return WeightMatrix(w)
 
 
 def make_random_row_stochastic(n: int, min_off_diagonal: float, seed: int) -> WeightMatrix:
@@ -103,7 +44,7 @@ def make_random_row_stochastic(n: int, min_off_diagonal: float, seed: int) -> We
             row = floor + (slack / total) * excess
         w[i, :i] = row[:i]
         w[i, i + 1 :] = row[i:]
-    return validate(w)
+    return WeightMatrix(w)
 
 
 def make_random_symmetric_bistochastic(n: int, seed: int) -> WeightMatrix:
@@ -126,7 +67,7 @@ def make_random_symmetric_bistochastic(n: int, seed: int) -> WeightMatrix:
     # The max row lands at exactly zero diagonal up to rounding; clip the dust.
     diag[np.abs(diag) < 1e-12] = np.maximum(diag[np.abs(diag) < 1e-12], 0.0)
     np.fill_diagonal(sym, np.maximum(diag, 0.0))
-    return validate(sym)
+    return WeightMatrix(sym)
 
 
 def gamma(matrix: WeightMatrix) -> float:

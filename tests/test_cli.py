@@ -231,3 +231,41 @@ def test_validate_weights_rejects_malformed_json(tmp_path, capsys, payload, mess
     path.write_text(json.dumps(payload))
     assert main(["validate-weights", "--weights", str(path)]) == 1
     assert capsys.readouterr().err == f"invalid weights: {message}\n"
+
+
+def test_check_theorems_rejects_negative_seed(capsys):
+    # The seed is checked before the table header, not by numpy's generator.
+    assert main(["check-theorems", "--instances", "1", "--t-end", "2.5", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "seed must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("datum", ["linear:1", "linear:a,b", "constant:abc", "cubic:1"])
+def test_run_rejects_malformed_datum_flag(tmp_path, capsys, datum):
+    out = tmp_path / "out"
+    assert main(["run", "--model", "two-agent-transmission", "--tau", "0.25",
+                 "--datum", datum, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --datum must be constant:C, linear:A,B or file:PATH, got {datum!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "two-agent-reaction", "--tau", "0.25", "--t-end", "1"],
+    ["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
+     "--tau-range", "0.1:0.2:2", "--t-end", "1"],
+])
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv, error, message):
+    # A request too large for memory is stood in for by raising, not allocating.
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("nddc.cli.run_sim", fail)
+    monkeypatch.setattr("nddc.sweep.grid_sweep", fail)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -217,7 +217,8 @@ class TestSimConfig:
             self._config(**{key: True})
 
     def test_hand_built_invalid_weights_rejected(self):
-        # Unchecked, these weights ran on the reaction model and "diverged" at step 1.
+        # Unchecked, these weights ran on the reaction model and "diverged" at
+        # step 1; WeightMatrix now rejects them when it is built.
         with pytest.raises(ValueError, match="non-finite"):
             run(self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
                              weights=WeightMatrix([[0.0, np.nan], [-1.0, 0.0]])))
@@ -226,7 +227,7 @@ class TestSimConfig:
                          weights=WeightMatrix([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_hand_built_valid_weights_accepted(self):
-        # A WeightMatrix built by hand has all-False flags until validated.
+        # A WeightMatrix built by hand computes its own flags.
         config = self._config(model="transmission", n=2, datum=ConstantDatum([[1.0], [0.0]]),
                               weights=WeightMatrix([[0.0, 1.0], [1.0, 0.0]]))
         assert config.weights.row_stochastic and config.weights.irreducible
@@ -265,8 +266,12 @@ class TestSimConfig:
             self._config(**overrides)
 
     def test_n_agent_model_needs_weights(self):
-        with pytest.raises(ValueError, match="reaction model needs a weight matrix"):
+        with pytest.raises(ValueError, match="reaction model needs a weight matrix, got NoneType"):
             self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]))
+        # A bare array has no flags to check the model's needs against.
+        with pytest.raises(ValueError, match="needs a weight matrix, got ndarray"):
+            self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
+                         weights=make_uniform(2).weights)
 
     def test_weight_size_must_match_n(self):
         with pytest.raises(ValueError, match="weight matrix size 3 does not match n = 2"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig
+from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig, WeightMatrix
 from nddc.diagnostics import (
     _phi_and_dissimilarity,
     apriori_bounds,
@@ -140,12 +140,10 @@ class TestGeomBound:
             assert check.holds and lhs <= rhs + 1e-12
 
     def test_requires_flags(self):
-        from nddc.weights import validate
-
         ring = np.zeros((3, 3))
         ring[0, 1] = ring[1, 2] = ring[2, 0] = 1.0
         with pytest.raises(ValueError):
-            geom_bound_check(np.zeros((3, 1)), validate(ring), (1, 2))
+            geom_bound_check(np.zeros((3, 1)), WeightMatrix(ring), (1, 2))
 
 
 class TestCoefficients:

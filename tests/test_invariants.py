@@ -12,13 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nddc.core import ConstantDatum, DerivativeMode, LinearDatum, ModelKind, SimConfig
+from nddc.core import (ConstantDatum, DerivativeMode, LinearDatum, ModelKind, SimConfig,
+                       WeightMatrix)
 from nddc.integrator import run
 from nddc.weights import (
     make_random_row_stochastic,
     make_random_symmetric_bistochastic,
     make_uniform,
-    validate,
 )
 
 EPS = np.finfo(float).eps
@@ -104,7 +104,7 @@ def test_relabelling_agents_relabels_the_result(config, random):
     relabelled = SimConfig(
         model=config.model, tau=config.tau, lam=config.lam, n=config.n, d=config.d,
         datum=LinearDatum(config.datum.start[order], config.datum.slope[order]),
-        weights=validate(w[order][:, order]), steps_per_delay=config.steps_per_delay,
+        weights=WeightMatrix(w[order][:, order]), steps_per_delay=config.steps_per_delay,
         t_end=config.t_end, derivative_mode=config.derivative_mode,
     )
     traj, other = run(config), run(relabelled)

@@ -23,11 +23,10 @@ from nddc.io import (
     config_to_dict,
     datum_from_dict,
     datum_to_dict,
-    load_weights,
     parse_config,
     read_manifest,
-    save_weights,
     weights_from_dict,
+    weights_to_dict,
     write_grid_csv,
     write_grid_json,
     write_ij_csv,
@@ -92,18 +91,14 @@ class TestTrajectoryCsv:
 
 
 class TestWeightsJson:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         wm = make_random_row_stochastic(4, 0.1, seed=5)
-        path = tmp_path / "weights.json"
-        save_weights(wm, path)
-        loaded = load_weights(path)
+        loaded = weights_from_dict(json.loads(json.dumps(weights_to_dict(wm))))
         assert np.array_equal(loaded.weights, wm.weights)
         assert loaded.row_stochastic
 
-    def test_spec_payload(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"kind": "uniform", "n": 3}))
-        assert load_weights(path).weights[0, 1] == pytest.approx(0.5)
+    def test_spec_payload(self):
+        assert weights_from_dict({"kind": "uniform", "n": 3}).weights[0, 1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("key,value", [("n", 3.5), ("seed", 1.5)])
     def test_spec_fractions_not_truncated(self, key, value):

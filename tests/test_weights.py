@@ -1,16 +1,15 @@
-"""Weight generator and validator tests."""
+"""Weight generator and structural flag tests."""
 
 import numpy as np
 import pytest
 
+from nddc.core import SUM_TOL, WeightMatrix
 from nddc.weights import (
-    SUM_TOL,
     WeightSpec,
     gamma,
     make_random_row_stochastic,
     make_random_symmetric_bistochastic,
     make_uniform,
-    validate,
 )
 
 
@@ -88,6 +87,8 @@ class TestRandomSymmetricBistochastic:
 
 
 class TestValidate:
+    """WeightMatrix checks the matrix and computes its flags when it is built."""
+
     def test_disconnected_cliques(self):
         block = np.array([
             [0, 1, 0, 0],
@@ -95,7 +96,7 @@ class TestValidate:
             [0, 0, 0, 1],
             [0, 0, 1, 0],
         ], dtype=float)
-        wm = validate(block)
+        wm = WeightMatrix(block)
         assert not wm.irreducible
         assert wm.symmetric
 
@@ -104,28 +105,52 @@ class TestValidate:
         ring = np.zeros((n, n))
         for i in range(n):
             ring[i, (i + 1) % n] = 1.0
-        wm = validate(ring)
+        wm = WeightMatrix(ring)
         assert wm.irreducible
         assert wm.row_stochastic
         assert not wm.symmetric
         assert not wm.positive_off_diagonal
 
     def test_uniform_all_flags(self):
-        wm = validate(make_uniform(3).weights)
+        wm = WeightMatrix(make_uniform(3).weights)
         assert all([wm.row_stochastic, wm.symmetric, wm.bi_stochastic,
                     wm.positive_off_diagonal, wm.irreducible])
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            validate(np.array([[0.0, -0.1], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="weight matrix has negative entries"):
+            WeightMatrix(np.array([[0.0, -0.1], [1.0, 0.0]]))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            validate(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="weight matrix must be square"):
+            WeightMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("matrix,message", [
+        (np.ones(3), "weight matrix must be square"),
+        (np.ones((1, 1)), "weight matrix needs at least two agents"),
+        ([[0.0, np.nan], [1.0, 0.0]], "weight matrix has non-finite entries"),
+        ([[0.0, np.inf], [1.0, 0.0]], "weight matrix has non-finite entries"),
+    ])
+    def test_invalid_matrix_rejected_at_construction(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix(matrix)
+
+    def test_flags_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            WeightMatrix(np.ones((2, 2)), row_stochastic=True)
+
+    def test_frozen_read_only_copy(self):
+        source = np.array([[0.0, 1.0], [1.0, 0.0]])
+        wm = WeightMatrix(source)
+        source[0, 1] = 0.5
+        assert wm.weights[0, 1] == 1.0 and wm.row_stochastic
+        with pytest.raises(ValueError, match="read-only"):
+            wm.weights[0, 1] = 0.5
+        with pytest.raises(AttributeError):
+            wm.row_stochastic = False
 
     def test_idempotent(self):
         wm = make_random_row_stochastic(4, 0.1, seed=2)
-        again = validate(wm.weights)
+        again = WeightMatrix(wm.weights)
         for flag in ("row_stochastic", "symmetric", "bi_stochastic",
                      "positive_off_diagonal", "irreducible"):
             assert getattr(again, flag) == getattr(wm, flag)
@@ -140,7 +165,7 @@ class TestGamma:
         ring = np.zeros((3, 3))
         ring[0, 1] = ring[1, 2] = ring[2, 0] = 1.0
         with pytest.raises(ValueError):
-            gamma(validate(ring))
+            gamma(WeightMatrix(ring))
 
     def test_lower_bound_for_row_stochastic(self):
         for seed in range(20):
