@@ -88,11 +88,12 @@ def _overrides(args) -> dict:
 
 def _cmd_run(args) -> int:
     config = io.parse_config(args.config, _overrides(args))
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     traj = run_sim(config)
     duration = time.perf_counter() - started
+    # The output directory is made only for a run that succeeded.
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "trajectory.csv"
     times = io.TimeColumn()
     io.write_trajectory_csv(traj, csv_path, times=times)

@@ -238,8 +238,8 @@ def _run_batch(configs, meshes, shape, record) -> list[tuple]:
     guards = DIVERGENCE_GUARD * np.maximum(
         1.0, np.abs(x0) if x0.ndim == 1 else diameter_series(x0)[0])
     # The block check holds every lane to the lowest guard (each lane's own
-    # when the lanes share their datum); only a block that trips it is searched
-    # lane by lane.
+    # when the lanes share their datum); only a block that trips it is searched,
+    # in one pass, for each lane's first node over its own guard.
     guard = guards.min()
     per_lane = (-1,) + (1,) * (states.ndim - 1)
     dts = np.array([mesh.step_size for mesh in meshes]).reshape(per_lane)
@@ -279,26 +279,26 @@ def _run_batch(configs, meshes, shape, record) -> list[tuple]:
             derivs[cols, rows] = block_rhs
         if backward:
             slopes[cols, rows] = (new - states[cols, top : top + count]) / step
-        # NaN fails the comparisons, so this also catches non-finite nodes. An
-        # N-agent spread norm is at most 2 sqrt(d) max|x|, so a block within
+        # NaN fails the comparisons, so this also catches non-finite nodes
+        # (a non-finite state has a non-finite guard value). An N-agent
+        # spread norm is at most 2 sqrt(d) max|x|, so a block within
         # 4 d max|x| <= guard (a factor of 2 spare for rounding) needs no spreads.
-        if not ((node and 4 * shape[1] * np.abs(new).max() <= guard)
-                or _guard_values(new).max() <= guard):
-            # Find each tripped lane's first offending node.
-            going = []
-            for i, lane in enumerate(live):
-                bad = np.flatnonzero(~np.isfinite(new[i]).reshape(count, -1).all(axis=1))
-                keep = bad[0] if len(bad) else count
-                high = np.flatnonzero(_guard_values(new[i : i + 1, :keep])[0] > guards[lane])
-                if len(high):
-                    keep = high[0] + 1
-                if len(high) or len(bad):
-                    aborts[lane] = int(top - lag + 1 + (high[0] if len(high) else bad[0]))
-                    tops[lane] = int(top + keep)
-                else:
-                    going.append(lane)
-            if going != live:
-                live, cols = going, _columns(going)
+        if not (node and 4 * shape[1] * np.abs(new).max() <= guard):
+            values = _guard_values(new)
+            if not values.max() <= guard:
+                # One pass over the block: each lane's first node over its own
+                # guard, if any; only the lanes that tripped are visited.
+                tripped = ~(values <= guards[cols, None])
+                first = tripped.argmax(axis=1)
+                hit = tripped.any(axis=1).tolist()
+                for i in np.flatnonzero(hit).tolist():
+                    lane, f = live[i], int(first[i])
+                    aborts[lane] = top - lag + 1 + f
+                    # A node over the guard is recorded, a non-finite one is not.
+                    tops[lane] = top + f + bool(np.isfinite(new[i, f]).all())
+                if any(hit):
+                    live = [lane for lane, gone in zip(live, hit) if not gone]
+                    cols = _columns(live)
         top += count
         # Lanes leave at their horizon, from the end: ends do not increase.
         while live and ends[live[-1]] == top:

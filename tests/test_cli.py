@@ -197,6 +197,11 @@ GAP_CONFIG = {"model": "two-agent-transmission", "tau": 0.25, "t_end": 1.0}
      "two-agent-reaction takes n = d = 1 and no weights"),
     (["--model", "transmission", "--tau", "0.25", "--weights", "uniform", "--seed", "-1"], None,
      "seed must be >= 0, got -1"),
+    # A datum of the wrong shape fails in the integrator, before --out is made.
+    ([], {"model": "transmission", "n": 2, "tau": 0.25, "t_end": 1.0,
+          "weights": {"kind": "uniform", "n": 2},
+          "datum": {"kind": "constant", "values": [[1, 0], [0, 1], [-1, 0]]}},
+     "datum shape (3, 2) does not match (2, 1)"),
 ])
 def test_run_rejects_invalid_input(tmp_path, capsys, flags, config, message):
     # Each of these crashed with a traceback or ran a different system.
@@ -269,3 +274,4 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv, err
     monkeypatch.setattr("nddc.sweep.grid_sweep", fail)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

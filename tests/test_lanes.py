@@ -161,6 +161,40 @@ def test_mid_block_aborts_leave_other_lanes_running(model):
         assert_same_verdict(*verdict, lane)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", list(DerivativeMode))
+@pytest.mark.parametrize("model", GAP_MODELS)
+def test_many_lanes_trip_in_one_block(model, mode):
+    # 31 lanes on one horizon under three datums, so three guards. Lane 3's
+    # datum overflows at the first node; lanes 5 and 9 cross their guard at
+    # the last node of the first block (one in each model), and the others
+    # diverge in twos and threes per block after lane 3 has left the middle of
+    # the batch.
+    m = 4
+    base = SimConfig(model=model, tau=0.5, lam=0.0, datum=ConstantDatum([[1.0]]), n=1, d=1,
+                     steps_per_delay=m, t_end=20.0, derivative_mode=mode)
+    datums = [ConstantDatum([[1.0]]), LinearDatum([[-3.0]], [[2.0]]),
+              LinearDatum([[0.5]], [[-0.7]])]
+    configs = [replace(base, lam=float(lam), datum=datums[i % 3])
+               for i, lam in enumerate(np.linspace(30.0, 0.0, 31))]
+    configs[3] = replace(configs[3], datum=LinearDatum([[1e300]], [[1e308]]))
+    configs[5] = replace(configs[5], lam=2.0, datum=LinearDatum([[1.0]], [[1.6e6]]))
+    configs[9] = replace(configs[9], lam=2.0, datum=LinearDatum([[1.0]], [[4e6]]))
+    lanes = run_lanes(configs)
+    steps = [lane.evidence.abort_step for lane in lanes]
+    # Lane 3 stops before its first node, which is not finite.
+    assert steps[3] == 1 and lanes[3].n_steps == 0
+    assert m in (steps[5], steps[9])
+    blocks = [(step - 1) // m for step in steps if step is not None]
+    assert max(blocks.count(b) for b in set(blocks) - {0}) >= 3
+    assert sum(step is None for step in steps) >= 2
+    assert len({max(1.0, abs(lane.states[0, 0, 0])) for lane in lanes}) >= 3
+    for config, lane, verdict in zip(configs, lanes, classify_lanes(configs)):
+        alone = run(config)
+        assert_same_run(lane, alone)
+        assert_same_verdict(*verdict, alone)
+
+
 def test_matrix_models_take_one_lane():
     config = SimConfig(model=ModelKind.REACTION, tau=0.2, lam=0.5,
                        datum=ConstantDatum([[0.0], [1.0], [2.0]]), n=3, d=1,
