@@ -300,7 +300,7 @@ def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
 class SimConfig:
     """Full description of one simulation run, judged once, when it is built.
 
-    A t_end of None is ``default_horizon(tau)`` rounded up to the mesh. The seed is
+    A t_end of None is ``default_horizon(tau)`` rounded up to ``mesh``. The seed is
     only a manifest label, so any integer is kept. The run checks the datum it samples.
     """
 
@@ -328,7 +328,8 @@ class SimConfig:
         self.lam = real("lambda", self.lam, minimum=0)
         self.t_end = (real("t_end", self.t_end) if self.t_end is not None else
                       aligned_t_end(self.tau, self.steps_per_delay, default_horizon(self.tau)))
-        Mesh.build(self.tau, self.steps_per_delay, self.t_end)
+        # Not a field, so ``replace`` builds a new one and ``==`` ignores it.
+        self._mesh = Mesh.build(self.tau, self.steps_per_delay, self.t_end)
         if self.model.is_scalar:
             if (self.n, self.d) != (1, 1) or self.weights is not None:
                 raise ValueError(f"{self.model.value} takes n = d = 1 and no weights")
@@ -340,6 +341,10 @@ class SimConfig:
             raise ValueError(f"weight matrix size {self.weights.n} does not match n = {self.n}")
         if self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:
             raise ValueError("the transmission model needs off-diagonal row sums of 1")
+
+    @property
+    def mesh(self) -> Mesh:
+        return self._mesh
 
 
 @dataclass

@@ -11,7 +11,6 @@ from .core import (
     MACHINE_EPS,
     Classification,
     ClassificationEvidence,
-    Mesh,
     ModelKind,
     Trajectory,
     WeightMatrix,
@@ -157,11 +156,11 @@ def track_ij(traj: Trajectory) -> IJReport:
 
 def _monitor_mesh(traj: Trajectory) -> tuple[int, float, int]:
     # m, dt and the step count of a run, whose history must reach 2*tau.
-    m = traj.config.steps_per_delay
+    mesh = traj.config.mesh
     total = len(traj.times) - 1
-    if total < 2 * m + 1:
+    if total < 2 * mesh.steps_per_delay + 1:
         raise ValueError("history depth must reach 2*tau")
-    return m, traj.times[1] - traj.times[0], total
+    return mesh.steps_per_delay, mesh.step_size, total
 
 
 def _lyapunov_series(traj: Trajectory, nodes: np.ndarray, values: np.ndarray,
@@ -353,8 +352,7 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("a-priori bounds need lam*tau <= 1")
     lt = cfg.lam * cfg.tau
-    mesh = Mesh.build(cfg.tau, cfg.steps_per_delay, cfg.t_end)
-    d_states, d_derivs = cfg.datum.on_mesh(mesh.datum_times)
+    d_states, d_derivs = cfg.datum.on_mesh(cfg.mesh.datum_times)
     big_m = max(
         float(np.linalg.norm(d_states, axis=2).max()),
         float(np.linalg.norm(d_derivs, axis=2).max()),

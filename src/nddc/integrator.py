@@ -12,7 +12,7 @@ from .core import (
     Classification,
     ClassificationEvidence,
     DerivativeMode,
-    Mesh,
+    Mesh,  # noqa: F401  (re-exported)
     ModelKind,
     NonFiniteStateError,
     SimConfig,
@@ -23,63 +23,62 @@ from .diagnostics import TOL_HIGH, TOL_LOW, classify_series
 
 
 def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    # Sum_j w_ij (targets_j - anchors_i) for one (N, d) node or a (T, N, d)
-    # block, with the subtraction done per pair so a consensus state yields
-    # exactly zero in floating point.
+    # Sum_j w_ij (targets_j - anchors_i) for (..., N, d) stacks of nodes, with
+    # the subtraction done per pair so a consensus state yields exactly zero
+    # in floating point.
     diff = targets[..., None, :, :] - anchors[..., :, None, :]
     return np.einsum("ij,...ijk->...ik", weights, diff)
 
 
-def _scan(ufunc, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    # x(b+s) = ufunc(x(b+s-1), steps[s]), applied in node order as a per-step
-    # loop would: x holds the lanes' states (L, ...), steps (L, count, ...).
-    seeded = np.concatenate((x[:, None], steps), axis=1)
-    return ufunc.accumulate(seeded, axis=1)[:, 1:]
+def _block_advance(config: SimConfig, dts: np.ndarray, delayed: bool):
+    """The model's update over one block: advance(slab, z, cols, rhs) -> rhs.
 
-
-def _block_advance(config: SimConfig, dt: float, delayed: bool):
-    """The model's update over one block: advance(x, z, count, dt, rhs) -> (states, rhs).
-
-    ``x`` holds the states of the block's L lanes at its last accepted node,
-    ``z`` the anticipated delayed inputs x(k) + lam*tau*D(k), k = n+1-m, of
-    the block's ``count`` steps (None when tau = 0), and ``dt`` the lanes'
-    steps. The two gap models hold one scalar per lane and node: ``x`` is
-    (L,), ``z`` (L, count) and ``dt`` (L, 1); the N-agent models take one
-    lane, x (1, N, d) and z (1, count, N, d), whose step ``dt`` is fixed when
-    the update is built. Returns the next ``count`` states of each lane and,
-    when ``rhs`` is true, the right-hand sides recorded as their derivatives
-    (else None), both shaped (L, count) or (1, count, N, d). Each lane is
-    computed with the same operations as a run of its own.
+    ``slab`` is rows 0..count of the time-major history, (1 + count, L) for the
+    gap models or (1 + count, 1, N, d) for an N-agent model's one lane; row 0
+    holds the last accepted states, and ``advance`` writes the next ``count``
+    into rows 1.. in place. ``z`` holds the anticipated inputs
+    x(k) + lam*tau*D(k), k = n+1-m, shaped like rows 1.. (None when tau = 0),
+    and ``cols`` picks the block's lanes, whose steps are ``dts``. Returns the
+    right-hand sides recorded as the new states' derivatives when ``rhs`` is
+    set, else None. Each lane takes the same operations as a run of its own.
     """
     model = config.model
     if model.is_scalar:
         if not delayed:
             # Both gap equations reduce to x' = -2x; implicit Euler divides by 1 + 2 dt.
-            def advance(x, z, count, dt, rhs):
-                new = _scan(np.multiply, x, np.broadcast_to(1.0 / (1.0 + 2.0 * dt), (len(x), count)))
-                return new, -2.0 * new if rhs else None
+            factors = 1.0 / (1.0 + 2.0 * dts)
+
+            def advance(slab, z, cols, rhs):
+                slab[1:] = factors[cols]
+                np.multiply.accumulate(slab, axis=0, out=slab)
+                return -2.0 * slab[1:] if rhs else None
         elif model is ModelKind.TWO_AGENT_TRANSMISSION:
             # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt),
             # looped on Python floats lane by lane: per step that is far
             # cheaper than NumPy scalar arithmetic.
-            def advance(x, z, count, dt, rhs):
+            def advance(slab, z, cols, rhs):
                 columns = []
-                for step, gap, inputs in zip(dt.ravel().tolist(), x.tolist(), z.tolist()):
+                for step, gap, inputs in zip(dts[cols].tolist(), slab[0].tolist(), z.T.tolist()):
                     column, denominator = [], 1.0 + step
                     for anticipated in inputs:
                         gap = (gap - step * anticipated) / denominator
                         column.append(gap)
                     columns.append(column)
-                new = np.array(columns, dtype=float)
-                return new, -z - new if rhs else None
+                slab[1:].T[...] = columns
+                return -z - slab[1:] if rhs else None
         else:
             # x' = -2 z with z known: x(n+1) = x(n) - 2 dt z.
-            def advance(x, z, count, dt, rhs):
-                return _scan(np.add, x, (-2.0 * dt) * z), -2.0 * z if rhs else None
+            scales = -2.0 * dts
+
+            def advance(slab, z, cols, rhs):
+                np.multiply(scales[cols], z, out=slab[1:])
+                np.add.accumulate(slab, axis=0, out=slab)
+                return -2.0 * z if rhs else None
         return advance
 
     weights = config.weights
     w = weights.off_diagonal() if model is ModelKind.TRANSMISSION else weights.weights
+    dt = dts.item(0)
     if not delayed:
         # tau = 0 degenerates both models to ODEs; implicit Euler is solved in
         # increment form so a consensus state stays an exact fixed point.
@@ -90,39 +89,35 @@ def _block_advance(config: SimConfig, dt: float, delayed: bool):
             system = eye + dt * (np.diag(w.sum(axis=1)) - w)
         propagate = np.linalg.inv(system)
 
-        def advance(x, z, count, rhs):
-            new = np.empty((count,) + x.shape)
-            for s in range(count):
-                x = x + dt * (propagate @ _pairwise(w, x, x))
-                new[s] = x
-            return new, _pairwise(w, new, new) if rhs else None
+        def advance(slab, z, cols, rhs):
+            x = slab[0, 0]
+            for s in range(1, len(slab)):
+                x = slab[s, 0] = x + dt * (propagate @ _pairwise(w, x, x))
+            return _pairwise(w, slab[1:], slab[1:]) if rhs else None
     elif model is ModelKind.TRANSMISSION:
         # (x_i(n+1) - x_i(n)) / dt = sum_j w_ij (z_j - x_i(n+1)); with
         # off-diagonal row sums equal to 1 the closed form is
         # x(n+1) = x(n) + dt/(1+dt) * sum_j w_ij (z_j - x_i(n)).
         gain = dt / (1.0 + dt)
 
-        def advance(x, z, count, rhs):
-            new = np.empty_like(z)
-            for s in range(count):
-                x = x + gain * _pairwise(w, z[s], x)
-                new[s] = x
-            return new, _pairwise(w, z, new) if rhs else None
+        def advance(slab, z, cols, rhs):
+            x = slab[0, 0]
+            for s in range(len(z)):
+                x = slab[s + 1, 0] = x + gain * _pairwise(w, z[s, 0], x)
+            return _pairwise(w, z, slab[1:]) if rhs else None
     else:
         # x_i' = sum_j w_ij (z_j - z_i): every term is known, so the implicit
         # scheme is a direct update; diagonal weights cancel in the differences.
-        def advance(x, z, count, rhs):
+        def advance(slab, z, cols, rhs):
             rates = _pairwise(w, z, z)
-            return _scan(np.add, x[None], (dt * rates)[None])[0], rates
-
-    def one_lane(x, z, count, dt, rhs):
-        new, rates = advance(x[0], None if z is None else z[0], count, rhs)
-        return new[None], None if rates is None else rates[None]
-    return one_lane
+            np.multiply(dt, rates, out=slab[1:])
+            np.add.accumulate(slab, axis=0, out=slab)
+            return rates
+    return advance
 
 
 def _guard_values(states: np.ndarray) -> np.ndarray:
-    """The (L, count) values of a block of states held against the guard."""
+    """The (count, L) values of a block of states held against the guard."""
     if states.ndim == 2:
         return np.abs(states)
     # Euclidean norm of per-coordinate ranges: an upper bound on the diameter
@@ -178,107 +173,118 @@ def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence
     bisections read nothing else.
     """
     return [
-        classify_series(np.abs(states) if states.ndim == 1 else diameter_series(states)[0],
+        classify_series(states if states.ndim == 1 else diameter_series(states)[0],
                         aborted=abort is not None, abort_step=abort)
-        for _, states, _, abort in _integrate(list(configs), False)
+        for states, _, abort in _integrate(list(configs), False)
     ]
 
 
 def _integrate(configs: list, record: bool) -> list[tuple]:
-    # Per lane: its step, its states from node 0 on (one scalar per node for
-    # the gap models, else (N, d)), its derivatives when ``record`` is set
-    # (else None) and its abort step (None when it ran to its horizon).
+    # Per lane: its states from node 0 on ((N, d) per node, or for the gap
+    # models one scalar, |x| unless ``record``), its derivatives when
+    # ``record`` is set (else None) and its abort step (None at its horizon).
     if not configs:
         return []
     if len({(c.model, c.steps_per_delay, c.derivative_mode, c.n, c.d) for c in configs}) > 1:
         raise ValueError("lanes must share the model, steps_per_delay, derivative mode, n and d")
-    config = configs[0]
-    if not config.model.is_scalar and len(configs) != 1:
+    if not configs[0].model.is_scalar and len(configs) != 1:
         raise ValueError("N-agent models run one lane at a time")
-    meshes = [Mesh.build(c.tau, c.steps_per_delay, c.t_end) for c in configs]
     lanes = [None] * len(configs)
     for delayed in (True, False):
         # Longest horizon first, so lanes that reach their horizon leave the
         # batch from its end.
-        order = sorted((i for i, mesh in enumerate(meshes) if (mesh.tau > 0) is delayed),
-                       key=lambda i: -meshes[i].total_steps)
+        order = sorted((i for i, c in enumerate(configs) if (c.tau > 0) is delayed),
+                       key=lambda i: -configs[i].mesh.total_steps)
         if order:
-            batch = _run_batch([configs[i] for i in order], [meshes[i] for i in order],
-                               (config.n, config.d), record)
-            for i, lane in zip(order, batch):
+            for i, lane in zip(order, _run_batch([configs[i] for i in order], record)):
                 lanes[i] = lane
     return lanes
 
 
-def _run_batch(configs, meshes, shape, record) -> list[tuple]:
+def _run_batch(configs, record) -> list[tuple]:
     # The lanes of ``configs`` are all delayed or all at tau = 0, ordered by
-    # non-increasing horizon, and hold (N, d) = ``shape`` states; the gap
-    # models keep one scalar per node. An N-agent block meets the guard's
-    # cheap bound 4 d max|x| first, and only a block over it has its spreads computed.
+    # non-increasing horizon, and hold (N, d) states; the gap models keep one
+    # scalar per node.
     config = configs[0]
-    datums = [c.datum.on_mesh(mesh.datum_times) for c, mesh in zip(configs, meshes)]
-    for datum_states, datum_derivs in datums:
+    shape = (config.n, config.d)
+    datums = [c.datum.on_mesh(c.mesh.datum_times) for c in configs]
+    for datum_states, _ in datums:
         if datum_states.shape[1:] != shape:
             raise ValueError(f"datum shape {datum_states.shape[1:]} does not match {shape}")
-        if not (np.isfinite(datum_states).all() and np.isfinite(datum_derivs).all()):
-            raise NonFiniteStateError("initial datum contains non-finite entries")
     m = config.steps_per_delay
-    advance = _block_advance(config, meshes[0].step_size, meshes[0].tau > 0)
-
-    # Row lag + k of a lane holds its mesh node k; rows 0..lag hold the datum
-    # on [-tau, 0]. Lane i ends at row ends[i].
     lag = len(datums[0][0]) - 1
-    ends = [lag + mesh.total_steps for mesh in meshes]
     node = () if config.model.is_scalar else shape
-    states = np.empty((len(configs), ends[0] + 1) + node)
-    head = (len(configs), lag + 1) + node
-    states[:, : lag + 1] = np.stack([s for s, _ in datums]).reshape(head)
-    datum_slopes = np.stack([d for _, d in datums]).reshape(head)
-    x0 = states[:, lag]
-    guards = DIVERGENCE_GUARD * np.maximum(
-        1.0, np.abs(x0) if x0.ndim == 1 else diameter_series(x0)[0])
+    per_lane = (-1,) + (1,) * len(node)
+    dts = np.array([c.mesh.step_size for c in configs]).reshape(per_lane)
+    advance = _block_advance(config, dts, lag > 0)
+
+    # The history is time-major: row lag + k holds mesh node k of every lane
+    # and rows 0..lag the datum on [-tau, 0], so a block is one slab of rows,
+    # which the update writes in place. Lane i ends at row ends[i].
+    ends = [lag + c.mesh.total_steps for c in configs]
+    head = (lag + 1, len(configs)) + node
+    datum_states = np.stack([s for s, _ in datums], axis=1).reshape(head)
+    datum_slopes = np.stack([d for _, d in datums], axis=1).reshape(head)
+    if not (np.isfinite(datum_states).all() and np.isfinite(datum_slopes).all()):
+        raise NonFiniteStateError("initial datum contains non-finite entries")
+    states = np.empty((ends[0] + 1,) + head[1:])
+    states[: lag + 1] = datum_states
+    x0 = datum_states[lag]
+    guards = DIVERGENCE_GUARD * np.maximum(1.0, diameter_series(x0)[0] if node else np.abs(x0))
     # The block check holds every lane to the lowest guard (each lane's own
     # when the lanes share their datum); only a block that trips it is searched,
     # in one pass, for each lane's first node over its own guard.
     guard = guards.min()
-    per_lane = (-1,) + (1,) * (states.ndim - 1)
-    dts = np.array([mesh.step_size for mesh in meshes]).reshape(per_lane)
     # lam * tau on the mesh, one gain per lane.
     gains = np.array([c.lam for c in configs]).reshape(per_lane) * (dts * m)
-    # Row k of ``slopes`` is the derivative D(k) the anticipation term reads:
-    # the datum's derivative for k <= 0, then the recorded right-hand side or,
-    # written once as each row is accepted, the backward difference. The
-    # right-hand sides are computed only when recorded or read.
+    # The derivative D(k) the anticipation term reads is the datum's for
+    # k <= 0, then the recorded right-hand side or the backward difference,
+    # taken from the states where it is read. The right-hand sides are
+    # computed only when recorded or read.
     backward = lag > 0 and config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
     rhs = record or (lag > 0 and not backward)
-    derivs = slopes = None
+    derivs = np.empty_like(states) if rhs else None
     if rhs:
-        derivs = slopes = np.empty_like(states)
-        derivs[:, : lag + 1] = datum_slopes
-    if backward:
-        slopes = np.empty_like(states)
-        slopes[:, : lag + 1] = datum_slopes
+        derivs[: lag + 1] = datum_slopes
+    inputs = np.empty((m,) + head[1:])
 
     # Lanes in ``live`` all stand at row ``top``; a lane that aborted stops at
     # its own last row and is computed no further.
-    live, cols = list(range(len(configs))), slice(None)
+    live = list(range(len(configs)))
     tops = ends[:]
     aborts = [None] * len(configs)
     top = lag
     while live:
+        # The live lanes' columns: a plain slice while they are lanes 0..k-1,
+        # as they stay while lanes leave from the end.
+        cols = slice(len(live)) if live[-1] == len(live) - 1 else np.array(live)
         count = min(m, ends[live[-1]] - top)
-        rows = slice(top + 1, top + 1 + count)
         z = None
         if lag:
+            # z at the block's k = lo-lag..hi-1-lag reads x(k-1), x(k) from rows lo-1..hi-1.
             lo, hi = top + 1 - lag, top + 1 - lag + count
-            z = states[cols, lo:hi] + gains[cols] * slopes[cols, lo:hi]
-        step = dts[cols]
-        new, block_rhs = advance(states[cols, top], z, count, step, rhs)
-        states[cols, rows] = new
+            window = states[lo - 1 : hi, cols]
+            z = inputs[:count, : len(live)]
+            if backward:
+                # Rows lo..lag read the datum's (a block straddles them when a
+                # lane left at its horizon inside the first delay).
+                cut = max(lag + 1 - lo, 0)
+                if cut:
+                    z[:cut] = datum_slopes[lo:hi, cols]
+                np.subtract(window[cut + 1 :], window[cut:-1], z[cut:])
+                np.divide(z[cut:], dts[cols], z[cut:])
+                np.multiply(gains[cols], z, z)
+            else:
+                np.multiply(gains[cols], derivs[lo:hi, cols], z)
+            np.add(window[1:], z, z)
+        rows = slice(top + 1, top + 1 + count)
+        slab = states[top : rows.stop, cols]
+        block_rhs = advance(slab, z, cols, rhs)
+        new = slab[1:]
+        if not isinstance(cols, slice):
+            states[rows, cols] = new  # fancy indexing computed the block in a copy
         if rhs:
-            derivs[cols, rows] = block_rhs
-        if backward:
-            slopes[cols, rows] = (new - states[cols, top : top + count]) / step
+            derivs[rows, cols] = block_rhs
         # NaN fails the comparisons, so this also catches non-finite nodes
         # (a non-finite state has a non-finite guard value). An N-agent
         # spread norm is at most 2 sqrt(d) max|x|, so a block within
@@ -288,48 +294,39 @@ def _run_batch(configs, meshes, shape, record) -> list[tuple]:
             if not values.max() <= guard:
                 # One pass over the block: each lane's first node over its own
                 # guard, if any; only the lanes that tripped are visited.
-                tripped = ~(values <= guards[cols, None])
-                first = tripped.argmax(axis=1)
-                hit = tripped.any(axis=1).tolist()
+                tripped = ~(values <= guards[cols])
+                first = tripped.argmax(axis=0)
+                hit = tripped.any(axis=0).tolist()
                 for i in np.flatnonzero(hit).tolist():
                     lane, f = live[i], int(first[i])
                     aborts[lane] = top - lag + 1 + f
                     # A node over the guard is recorded, a non-finite one is not.
-                    tops[lane] = top + f + bool(np.isfinite(new[i, f]).all())
-                if any(hit):
-                    live = [lane for lane, gone in zip(live, hit) if not gone]
-                    cols = _columns(live)
+                    tops[lane] = top + f + bool(np.isfinite(new[f, i]).all())
+                live = [lane for lane, gone in zip(live, hit) if not gone]
         top += count
         # Lanes leave at their horizon, from the end: ends do not increase.
         while live and ends[live[-1]] == top:
             live.pop()
-            cols = _columns(live)
 
-    return [
-        (mesh.step_size, states[i, lag : tops[i] + 1],
-         derivs[i, lag : tops[i] + 1] if record else None, aborts[i])
-        for i, mesh in enumerate(meshes)
-    ]
-
-
-def _columns(live: list) -> slice | np.ndarray:
-    # The lane index of the (increasing) live lanes: a plain slice while they
-    # are lanes 0..k-1, as they stay while lanes leave from the end.
-    if not live or live[-1] == len(live) - 1:
-        return slice(len(live))
-    return np.array(live)
+    if not (record or node):
+        # A verdict reads a gap lane's |x| only: one pass over the history in
+        # place, where a pass per lane would stride across it.
+        np.abs(states, out=states)
+    return [(states[lag : end + 1, i], derivs[lag : end + 1, i] if record else None, abort)
+            for i, (end, abort) in enumerate(zip(tops, aborts))]
 
 
-def _assemble(config, dt, states, derivs, abort_step,
+def _assemble(config, states, derivs, abort_step,
               tol_low=TOL_LOW, tol_high=TOL_HIGH) -> Trajectory:
     count = len(states)
-    times = np.arange(count) * dt
+    times = np.arange(count) * config.mesh.step_size
     if states.ndim == 1:
-        # A gap lane: the diameter is |x|, the (N, d) = (1, 1) axes come
-        # back as views, and the mean over the one agent is the gap itself
-        # (numpy's mean would turn -0.0 into +0.0).
+        # A gap lane, made contiguous (it is a column of its batch): the
+        # diameter is |x|, the (N, d) = (1, 1) axes come back as views, and
+        # the mean over the one agent is the gap itself (numpy's mean would
+        # turn -0.0 into +0.0).
         diameters = np.abs(states)
-        states, derivs = states[:, None, None], derivs[:, None, None]
+        states, derivs = (np.ascontiguousarray(a)[:, None, None] for a in (states, derivs))
         means = states[:, 0]
         pairs = np.tile(np.array([1, 2]), (count, 1))
     else:
@@ -378,7 +375,7 @@ def refine_oracle(config: SimConfig, levels: int = 4) -> RefineResult:
         if traj.classification is Classification.DIVERGED:
             raise ValueError("refine_oracle rejects divergent configurations")
         finals.append(traj.states[-1])
-        steps.append(Mesh.build(cfg.tau, cfg.steps_per_delay, cfg.t_end).step_size)
+        steps.append(cfg.mesh.step_size)
     diffs = [
         float(np.linalg.norm(finals[i + 1] - finals[i])) for i in range(levels - 1)
     ]

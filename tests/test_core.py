@@ -1,6 +1,6 @@
 """Domain-type tests: diameter, datum construction, and config validation."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nddc.core import (
     ConstantDatum,
     LinearDatum,
+    Mesh,
     MeshAlignmentError,
     NonFiniteStateError,
     SampledDatum,
@@ -20,7 +21,7 @@ from nddc.core import (
     diameter,
     diameter_series,
 )
-from nddc.integrator import run
+from nddc.integrator import classify_lanes, run
 from nddc.weights import make_uniform
 
 
@@ -248,6 +249,24 @@ class TestSimConfig:
     def test_negative_values_rejected(self, key, message):
         with pytest.raises(ValueError, match=message):
             self._config(**{key: -1})
+
+    def test_mesh_is_built_with_the_config(self):
+        config = self._config()
+        assert config.mesh == Mesh.build(0.5, 2, 5.0)
+        other = replace(config, tau=0.25)
+        assert other.mesh == Mesh.build(0.25, 2, 5.0) != config.mesh
+        # Not a field: equality, replace and the manifests see only the inputs.
+        assert "mesh" not in {f.name for f in fields(SimConfig)} and replace(config) == config
+        with pytest.raises(AttributeError):
+            config.mesh = other.mesh
+
+    def test_runs_reuse_the_config_mesh(self, monkeypatch):
+        configs = [self._config(), self._config(lam=0.0)]
+        built = []
+        monkeypatch.setattr(Mesh, "build", lambda *args: built.append(args))
+        run(configs[0])
+        classify_lanes(configs)
+        assert built == []
 
     def test_default_horizon_is_aligned(self):
         config = self._config(tau=0.3, steps_per_delay=32, t_end=None)

@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nddc.core import (
@@ -15,9 +15,12 @@ from nddc.core import (
     DerivativeMode,
     LinearDatum,
     ModelKind,
+    SampledDatum,
     SimConfig,
 )
 from nddc.integrator import classify_lanes, run, run_lanes
+from nddc.presets import figure_preset
+from nddc.sweep import cell_config
 from nddc.weights import make_uniform
 
 GAP_MODELS = [ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TWO_AGENT_REACTION]
@@ -101,9 +104,24 @@ def mixed_lanes(draw):
     return configs
 
 
+def straddling_lanes(model, tau, m, lam_steps):
+    # Lanes of one tau whose shortest horizon ends inside the first delay, so
+    # the next block reads, in backward-difference mode, the datum's
+    # derivative for its first rows and backward differences after them. The
+    # datum's derivative, 1, is not the difference of its states, 0, so a row
+    # read the wrong way shows.
+    ones = np.ones((m + 1, 1, 1))
+    datum = SampledDatum(np.arange(-m, 1) * (tau / m), ones, ones)
+    return [SimConfig(model=model, tau=tau, lam=lam, datum=datum, n=1, d=1,
+                      steps_per_delay=m, t_end=steps * tau / m)
+            for lam, steps in lam_steps]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(mixed_lanes())
+@example(straddling_lanes(ModelKind.TWO_AGENT_REACTION, 0.5, 2, [(0.5, 3), (0.0, 1)]))
+@example(straddling_lanes(ModelKind.TWO_AGENT_TRANSMISSION, 1.0, 5, [(0.5, 6), (0.5, 1)]))
 def test_lanes_differing_in_tau_match_single_runs(configs):
     lanes = run_lanes(configs)
     assert len(lanes) == len(configs)
@@ -146,18 +164,34 @@ def test_verdicts_match_single_runs(configs):
 def test_mid_block_aborts_leave_other_lanes_running(model):
     config = SimConfig(model=model, tau=0.5, lam=0.0, datum=ConstantDatum([[1.0]]),
                        n=1, d=1, steps_per_delay=16, t_end=40.0)
-    lams = [0.0, 0.3, 6.0, 1e5, 0.1]
-    # A frozen lane computes nothing more, so it cannot overflow later.
+    configs = [replace(config, lam=lam) for lam in [0.0, 0.3, 6.0, 1e5, 0.1]]
+    # A frozen lane computes nothing more, so it cannot overflow later, in a
+    # recorded run or a verdict-only one.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lanes = run_lanes([replace(config, lam=lam) for lam in lams])
+        lanes = run_lanes(configs)
+        verdicts = classify_lanes(configs)
     aborted = [lane.evidence.abort_step for lane in lanes if lane.evidence.aborted]
     assert len(aborted) == 2 and all(step % 16 for step in aborted)
     assert lanes[0].classification is Classification.CONVERGED
     assert lanes[0].n_steps == 1280
-    for lam, lane in zip(lams, lanes):
-        assert_same_run(lane, run(replace(config, lam=lam)))
-    for lane, verdict in zip(lanes, classify_lanes([replace(config, lam=lam) for lam in lams])):
+    for config, lane, verdict in zip(configs, lanes, verdicts):
+        assert_same_run(lane, run(config))
+        assert_same_verdict(*verdict, lane)
+
+
+def test_fig3_row_freezes_its_aborted_lanes():
+    # fig3's tau = 1 row: 26 of its 31 lambda lanes abort, in different
+    # blocks, and none is computed past its abort in either kind of run.
+    sweep = figure_preset("fig3").sweep
+    configs = [cell_config(sweep.settings, float(lam), 1.0) for lam in sweep.lam_values]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = classify_lanes(configs)
+        lanes = run_lanes(configs)
+    assert sum(evidence.aborted for _, evidence in verdicts) == 26
+    for config, lane, verdict in zip(configs, lanes, verdicts):
+        assert_same_run(lane, run(config))
         assert_same_verdict(*verdict, lane)
 
 
