@@ -296,12 +296,14 @@ def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
     return math.ceil(steps - 1e-9) * dt
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Full description of one simulation run, judged once, when it is built.
 
-    A t_end of None is ``default_horizon(tau)`` rounded up to ``mesh``. The seed is
-    only a manifest label, so any integer is kept. The run checks the datum it samples.
+    Frozen: vary a built config with ``dataclasses.replace``, which judges the
+    result anew. A t_end of None is ``default_horizon(tau)`` rounded up to the
+    mesh, and ``mesh``, not a field, is the config's ``Mesh``. The seed is only a
+    manifest label, so any integer is kept. The run checks the datum it samples.
     """
 
     model: ModelKind
@@ -317,19 +319,22 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.model = ModelKind(self.model)
-        self.derivative_mode = DerivativeMode(self.derivative_mode)
+        def put(name: str, value) -> None:
+            object.__setattr__(self, name, value)
+
+        put("model", ModelKind(self.model))
+        put("derivative_mode", DerivativeMode(self.derivative_mode))
         # A fractional step count would keep dt = tau / m but delay by int(m) steps.
-        self.steps_per_delay = integer("steps_per_delay", self.steps_per_delay, minimum=1)
-        self.n = integer("n", self.n, minimum=1)
-        self.d = integer("d", self.d, minimum=1)
-        self.seed = integer("seed", self.seed)
-        self.tau = real("tau", self.tau, minimum=0)
-        self.lam = real("lambda", self.lam, minimum=0)
-        self.t_end = (real("t_end", self.t_end) if self.t_end is not None else
-                      aligned_t_end(self.tau, self.steps_per_delay, default_horizon(self.tau)))
+        put("steps_per_delay", integer("steps_per_delay", self.steps_per_delay, minimum=1))
+        put("n", integer("n", self.n, minimum=1))
+        put("d", integer("d", self.d, minimum=1))
+        put("seed", integer("seed", self.seed))
+        put("tau", real("tau", self.tau, minimum=0))
+        put("lam", real("lambda", self.lam, minimum=0))
+        put("t_end", real("t_end", self.t_end) if self.t_end is not None else
+            aligned_t_end(self.tau, self.steps_per_delay, default_horizon(self.tau)))
         # Not a field, so ``replace`` builds a new one and ``==`` ignores it.
-        self._mesh = Mesh.build(self.tau, self.steps_per_delay, self.t_end)
+        put("mesh", Mesh.build(self.tau, self.steps_per_delay, self.t_end))
         if self.model.is_scalar:
             if (self.n, self.d) != (1, 1) or self.weights is not None:
                 raise ValueError(f"{self.model.value} takes n = d = 1 and no weights")
@@ -341,10 +346,6 @@ class SimConfig:
             raise ValueError(f"weight matrix size {self.weights.n} does not match n = {self.n}")
         if self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:
             raise ValueError("the transmission model needs off-diagonal row sums of 1")
-
-    @property
-    def mesh(self) -> Mesh:
-        return self._mesh
 
 
 @dataclass

@@ -306,14 +306,10 @@ def lyap_reaction(traj: Trajectory) -> LyapunovSeries:
     p_part = c_phi * dt * _windowed_sum(f_series, m, nodes - m)
 
     # Triangular window sum_{j=n+2-2m}^{n+1-m} (j - (n+1-2m)) * D[j].
-    idx = np.arange(len(d_series), dtype=float)
-    cs_d = np.concatenate([[0.0], np.cumsum(d_series)])
-    cs_jd = np.concatenate([[0.0], np.cumsum(idx * d_series)])
     hi = nodes + 1 - m
-    lo = nodes + 2 - 2 * m
-    window_jd = cs_jd[hi + 1] - cs_jd[lo]
-    window_d = cs_d[hi + 1] - cs_d[lo]
-    q_part = 0.5 * dt * dt * (window_jd - (lo - 1) * window_d)
+    idx = np.arange(len(d_series), dtype=float)
+    window_jd = _windowed_sum(idx * d_series, m, hi)
+    q_part = 0.5 * dt * dt * (window_jd - (hi - m) * _windowed_sum(d_series, m, hi))
 
     values = a_part + p_part + q_part
     bounds = dt * (

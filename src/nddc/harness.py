@@ -51,51 +51,39 @@ def _random_datum(rng: np.random.Generator, n: int, d: int) -> ConstantDatum:
             return ConstantDatum(values / norms.max())
 
 
-def transmission_instance(seed: int, t_end: float = 100.0) -> SimConfig:
-    """Random transmission run satisfying the consensus guarantee lam*tau <= 1."""
+def _instance(seed: int, t_end: float, draw, model: ModelKind, make_weights) -> SimConfig:
+    # n, d, then (tau, lam) = draw(rng), then the datum, all from one stream;
+    # make_weights(n, seed) draws the weights from its own.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     d = int(rng.integers(1, 4))
-    tau = float(rng.uniform(0.1, 0.8))
-    lam = float(rng.uniform(0.0, 1.0)) / tau
-    weights = make_random_row_stochastic(n, 0.5 / (n - 1), seed)
+    tau, lam = draw(rng)
     m = 32
-    return SimConfig(
-        model=ModelKind.TRANSMISSION,
-        tau=tau,
-        lam=lam,
-        datum=_random_datum(rng, n, d),
-        n=n,
-        d=d,
-        steps_per_delay=m,
-        t_end=aligned_t_end(tau, m, t_end),
-        weights=weights,
-        seed=seed,
-    )
+    return SimConfig(model=model, tau=tau, lam=lam, datum=_random_datum(rng, n, d), n=n, d=d,
+                     steps_per_delay=m, t_end=aligned_t_end(tau, m, t_end),
+                     weights=make_weights(n, seed), seed=seed)
+
+
+def _transmission_draw(rng: np.random.Generator) -> tuple[float, float]:
+    tau = float(rng.uniform(0.1, 0.8))
+    return tau, float(rng.uniform(0.0, 1.0)) / tau
+
+
+def _reaction_draw(rng: np.random.Generator) -> tuple[float, float]:
+    tau = float(rng.uniform(0.05, 0.4))
+    return tau, float(rng.uniform(tau, 0.49)) / tau - 1.0
+
+
+def transmission_instance(seed: int, t_end: float = 100.0) -> SimConfig:
+    """Random transmission run satisfying the consensus guarantee lam*tau <= 1."""
+    return _instance(seed, t_end, _transmission_draw, ModelKind.TRANSMISSION,
+                     lambda n, seed: make_random_row_stochastic(n, 0.5 / (n - 1), seed))
 
 
 def reaction_instance(seed: int, t_end: float = 100.0) -> SimConfig:
     """Random reaction run satisfying the consensus guarantee (1+lam)*tau < 1/2."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 9))
-    d = int(rng.integers(1, 4))
-    tau = float(rng.uniform(0.05, 0.4))
-    total = float(rng.uniform(tau, 0.49))
-    lam = total / tau - 1.0
-    weights = make_random_symmetric_bistochastic(n, seed)
-    m = 32
-    return SimConfig(
-        model=ModelKind.REACTION,
-        tau=tau,
-        lam=lam,
-        datum=_random_datum(rng, n, d),
-        n=n,
-        d=d,
-        steps_per_delay=m,
-        t_end=aligned_t_end(tau, m, t_end),
-        weights=weights,
-        seed=seed,
-    )
+    return _instance(seed, t_end, _reaction_draw, ModelKind.REACTION,
+                     make_random_symmetric_bistochastic)
 
 
 def _evaluate(theorem: str, config: SimConfig, seed: int) -> TheoremRun:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -57,15 +57,16 @@ def weights_to_dict(weights: WeightMatrix) -> dict:
     return {"matrix": [[float(v) for v in row] for row in weights.weights]}
 
 
-def weights_from_dict(payload) -> WeightMatrix:
-    """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object."""
+def weights_from_dict(payload, n: int = 2) -> WeightMatrix:
+    """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object,
+    whose n defaults to ``n``."""
     if isinstance(payload, list):
         return WeightMatrix(_numbers("weights", payload))
     payload = _object("weights", payload)
     if "matrix" in payload:
         return WeightMatrix(_numbers("weights 'matrix'", payload["matrix"]))
     given = {key: payload[key] for key in ("n", "min_off_diagonal", "seed") if key in payload}
-    return WeightSpec(kind=_key("weights", payload, "kind"), **given).build()
+    return WeightSpec(kind=_key("weights", payload, "kind"), **{"n": n, **given}).build()
 
 
 def datum_to_dict(datum: Datum) -> dict:
@@ -132,7 +133,8 @@ def config_from_dict(payload) -> SimConfig:
     n = payload.get("n", 1 if model.is_scalar else 2)
     weights = payload.get("weights")
     if weights is not None:
-        weights = weights_from_dict(weights)
+        # A spec takes the config's n unless it gives its own; a gap model takes none.
+        weights = weights_from_dict(weights, 2 if model.is_scalar else n)
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
     given = {key: payload[key] for key in ("d", "steps_per_delay", "t_end",
@@ -141,9 +143,8 @@ def config_from_dict(payload) -> SimConfig:
                        lam=payload.get("lambda", 0.0), datum=None, n=n, weights=weights,
                        **given)
     # The datum is read last, at the checked n and d its scalars fill.
-    config.datum = datum_from_dict(payload.get("datum", {"kind": "constant", "values": 1.0}),
-                                   config.n, config.d)
-    return config
+    return replace(config, datum=datum_from_dict(
+        payload.get("datum", {"kind": "constant", "values": 1.0}), config.n, config.d))
 
 
 def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
@@ -309,14 +310,7 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    payload = {
-        "tool_version": manifest.tool_version,
-        "duration_seconds": manifest.duration_seconds,
-        "config": manifest.config,
-        "outputs": [str(p) for p in manifest.outputs],
-        "classification": manifest.classification,
-        "summary": manifest.summary,
-    }
+    payload = {**asdict(manifest), "outputs": [str(p) for p in manifest.outputs]}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 

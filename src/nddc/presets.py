@@ -7,8 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstantDatum, ModelKind, SimConfig
-from .sweep import SweepSettings
+from .core import ModelKind, SimConfig
+from .sweep import SweepSettings, cell_config
 
 #: Steps per delay used by all figure runs.
 FIGURE_STEPS_PER_DELAY = 64
@@ -35,15 +35,7 @@ class FigurePreset:
 
 
 def _gap_run(model: ModelKind, tau: float, lam: float, t_end: float) -> SimConfig:
-    return SimConfig(
-        model=model,
-        tau=tau,
-        lam=lam,
-        datum=ConstantDatum([[1.0]]),
-        n=1,
-        steps_per_delay=FIGURE_STEPS_PER_DELAY,
-        t_end=t_end,
-    )
+    return cell_config(SweepSettings(model, FIGURE_STEPS_PER_DELAY, t_end), lam, tau)
 
 
 def figure_preset(name: str) -> FigurePreset:

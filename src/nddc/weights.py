@@ -63,10 +63,8 @@ def make_random_symmetric_bistochastic(n: int, seed: int) -> WeightMatrix:
     np.fill_diagonal(sym, 0.0)
     off_sums = sym.sum(axis=1)
     sym /= off_sums.max()
-    diag = 1.0 - sym.sum(axis=1)
     # The max row lands at exactly zero diagonal up to rounding; clip the dust.
-    diag[np.abs(diag) < 1e-12] = np.maximum(diag[np.abs(diag) < 1e-12], 0.0)
-    np.fill_diagonal(sym, np.maximum(diag, 0.0))
+    np.fill_diagonal(sym, np.maximum(1.0 - sym.sum(axis=1), 0.0))
     return WeightMatrix(sym)
 
 

@@ -1,6 +1,6 @@
 """Domain-type tests: diameter, datum construction, and config validation."""
 
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -259,6 +259,13 @@ class TestSimConfig:
         assert "mesh" not in {f.name for f in fields(SimConfig)} and replace(config) == config
         with pytest.raises(AttributeError):
             config.mesh = other.mesh
+
+    def test_built_config_is_final(self):
+        # An assigned horizon was never checked and left the mesh at the old one.
+        config = self._config()
+        with pytest.raises(FrozenInstanceError):
+            config.t_end = 10.0
+        assert config.t_end == 5.0 and replace(config, t_end=10.0).mesh == Mesh.build(0.5, 2, 10.0)
 
     def test_runs_reuse_the_config_mesh(self, monkeypatch):
         configs = [self._config(), self._config(lam=0.0)]

@@ -1,6 +1,7 @@
 """Integrator tests: meshes, datum seeding, block stepping, full runs, refinement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,8 +216,7 @@ class TestRun:
             assert traj.classification is Classification.CONVERGED
 
     def test_non_finite_datum_rejected(self):
-        cfg = _gap_config()
-        cfg.datum = ConstantDatum([[np.nan]])
+        cfg = replace(_gap_config(), datum=ConstantDatum([[np.nan]]))
         with pytest.raises(NonFiniteStateError):
             run(cfg)
 

@@ -160,6 +160,17 @@ class TestParseConfig:
         assert cfg.weights is not None
         assert cfg.weights.row_stochastic
 
+    def test_weight_spec_takes_the_config_n(self):
+        # The spec used to fall back to n = 2 and fail against the config's 4.
+        payload = {"model": "transmission", "tau": 0.2, "n": 4,
+                   "weights": {"kind": "random-row-stochastic", "seed": 3}}
+        expected = make_random_row_stochastic(4, 0.5 / 3, 3).weights
+        assert np.array_equal(config_from_dict(payload).weights.weights, expected)
+        own = config_from_dict({**payload, "weights": {**payload["weights"], "n": 4}})
+        assert np.array_equal(own.weights.weights, expected)
+        with pytest.raises(ValueError, match="weight matrix size 3 does not match n = 4"):
+            config_from_dict({**payload, "weights": {**payload["weights"], "n": 3}})
+
     def test_fractional_steps_per_delay_not_truncated(self):
         payload = {"model": "two-agent-transmission", "tau": 0.5, "steps_per_delay": 2.5}
         with pytest.raises(ValueError, match="steps_per_delay"):
