@@ -122,6 +122,8 @@ def _cmd_run(args) -> int:
             "final_dx": traj.evidence.final_dx,
             "trailing_peak": traj.evidence.trailing_peak,
             "trailing_ratio": traj.evidence.trailing_ratio,
+            # JSON has no NaN: a run that fitted no rate records null.
+            "rate": None if np.isnan(traj.evidence.rate) else traj.evidence.rate,
             "aborted": traj.evidence.aborted,
         },
     )

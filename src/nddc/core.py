@@ -350,7 +350,11 @@ class SimConfig:
 
 @dataclass
 class ClassificationEvidence:
-    """Trailing-window amplitude statistics backing a run classification."""
+    """Trailing-window amplitude statistics backing a run classification.
+
+    ``rate`` is the fitted decay rate of the diameter's envelope per unit
+    time, NaN unless the horizon rules left the run undecided and a fit ran.
+    """
 
     initial_dx: float
     final_dx: float
@@ -358,6 +362,7 @@ class ClassificationEvidence:
     trailing_ratio: float
     aborted: bool = False
     abort_step: Optional[int] = None
+    rate: float = float("nan")
 
 
 @dataclass

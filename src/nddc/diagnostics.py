@@ -19,11 +19,13 @@ from .core import (
 from .models import theorem_reaction_condition, theorem_transmission_condition
 from .weights import gamma
 
-#: The thresholds of ``classify_series`` and the share of a run its trailing
-#: window covers.
+#: The thresholds of ``classify_series``, the share of a run its trailing
+#: window covers, and the envelope decay rate (per unit time) past which a run
+#: the horizon rules leave undecided counts as converging or diverging.
 TOL_LOW = 1e-3
 TOL_HIGH = 1e3
 TRAILING_FRACTION = 0.2
+RATE_TOL = 1e-3
 #: A Lyapunov decrement may exceed its bound by LYAPUNOV_TOL_SCALE * (1 + |L(n0)|).
 LYAPUNOV_TOL_SCALE = 1e-8
 #: Relative rounding slack on the a-priori state and derivative bounds.
@@ -374,19 +376,44 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     )
 
 
+def _envelope_rate(diameters: np.ndarray, step: float, steps_per_delay: int) -> float:
+    # Least-squares slope of the log of the per-window peaks, over windows of
+    # 4 delays ending at the last node and lying in the trailing half, per
+    # unit time; NaN with fewer than 3 windows or a non-finite log.
+    width = 4 * steps_per_delay
+    count = len(diameters) // 2 // width
+    if count < 3:
+        return float("nan")
+    peaks = diameters[len(diameters) - count * width:].reshape(count, width).max(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(peaks)
+    if not np.isfinite(logs).all():
+        return float("nan")
+    x = np.arange(count) - 0.5 * (count - 1)
+    return float(x @ logs / (x @ x) / (width * step))
+
+
 def classify_series(
     diameters: np.ndarray,
     aborted: bool = False,
     abort_step: Optional[int] = None,
     tol_low: float = TOL_LOW,
     tol_high: float = TOL_HIGH,
+    step: Optional[float] = None,
+    steps_per_delay: Optional[int] = None,
 ) -> tuple[Classification, ClassificationEvidence]:
     """Classify a diameter series as Converged / Diverged / Inconclusive.
 
+    Three horizon rules decide first. Diverged: run aborted, or the peak over
+    the last TRAILING_FRACTION of the series exceeds tol_high * max(1, d_x(0)).
     Converged: final diameter below tol_low * max(d_x(0), machine epsilon).
-    Diverged: run aborted, or the peak over the last TRAILING_FRACTION of the
-    series exceeds tol_high * max(1, d_x(0)). Anything else, including neutral oscillation on
-    a knife edge, stays Inconclusive.
+    A series they leave undecided, given its mesh ``step`` and
+    ``steps_per_delay``, is judged by the decay rate of its envelope: the
+    log of the peak of each 4-delay window over the trailing half, fitted by
+    least squares. A rate below -RATE_TOL is Converged, above +RATE_TOL
+    Diverged. Anything else, including neutral oscillation on a knife edge,
+    fewer than 3 windows or no mesh given, stays Inconclusive;
+    ``evidence.rate`` is NaN where no fit ran.
     """
     diameters = np.asarray(diameters, dtype=float)
     count = len(diameters)
@@ -413,5 +440,10 @@ def classify_series(
         return Classification.DIVERGED, evidence
     if final < tol_low * max(d0, MACHINE_EPS):
         return Classification.CONVERGED, evidence
+    if step is not None:
+        evidence.rate = _envelope_rate(diameters, step, steps_per_delay)
+        if evidence.rate < -RATE_TOL:
+            return Classification.CONVERGED, evidence
+        if evidence.rate > RATE_TOL:
+            return Classification.DIVERGED, evidence
     return Classification.INCONCLUSIVE, evidence
-

@@ -172,10 +172,12 @@ def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence
     (|x| for the gap models) goes straight to ``classify_series``. Sweeps and
     bisections read nothing else.
     """
+    configs = list(configs)
     return [
         classify_series(states if states.ndim == 1 else diameter_series(states)[0],
-                        aborted=abort is not None, abort_step=abort)
-        for states, _, abort in _integrate(list(configs), False)
+                        aborted=abort is not None, abort_step=abort,
+                        step=config.mesh.step_size, steps_per_delay=config.steps_per_delay)
+        for config, (states, _, abort) in zip(configs, _integrate(configs, False))
     ]
 
 
@@ -335,6 +337,7 @@ def _assemble(config, states, derivs, abort_step,
     classification, evidence = classify_series(
         diameters, aborted=abort_step is not None, abort_step=abort_step,
         tol_low=tol_low, tol_high=tol_high,
+        step=config.mesh.step_size, steps_per_delay=config.steps_per_delay,
     )
     return Trajectory(
         config=config,

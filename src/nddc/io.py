@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -19,6 +19,7 @@ from .core import (
     SimConfig,
     Trajectory,
     WeightMatrix,
+    integer,
 )
 from .diagnostics import IJReport, LyapunovSeries
 from .sweep import StabilityGrid
@@ -29,7 +30,8 @@ TOOL_VERSION = "0.1.0"
 
 # ---------------------------------------------------------------------------
 # weights and datum JSON schemas: the readers check the JSON's structure, and
-# WeightSpec and SimConfig judge the values, which pass through unconverted.
+# WeightSpec and SimConfig judge the values, which pass through unconverted
+# (a config's n and d are judged first, by SimConfig's rule).
 
 
 def _object(name: str, payload) -> dict:
@@ -130,21 +132,21 @@ def config_from_dict(payload) -> SimConfig:
     SimConfig's own; a null "t_end" or "weights" is the default."""
     payload = _object("config", payload)
     model = ModelKind(_key("config", payload, "model"))
-    n = payload.get("n", 1 if model.is_scalar else 2)
+    # n and d are checked first: the weight spec and the datum's scalars fill them.
+    n = integer("n", payload.get("n", 1 if model.is_scalar else 2), minimum=1)
+    d = integer("d", payload.get("d", 1), minimum=1)
     weights = payload.get("weights")
     if weights is not None:
         # A spec takes the config's n unless it gives its own; a gap model takes none.
         weights = weights_from_dict(weights, 2 if model.is_scalar else n)
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
-    given = {key: payload[key] for key in ("d", "steps_per_delay", "t_end",
+    given = {key: payload[key] for key in ("steps_per_delay", "t_end",
                                            "derivative_mode", "seed") if key in payload}
-    config = SimConfig(model=model, tau=_key("config", payload, "tau"),
-                       lam=payload.get("lambda", 0.0), datum=None, n=n, weights=weights,
-                       **given)
-    # The datum is read last, at the checked n and d its scalars fill.
-    return replace(config, datum=datum_from_dict(
-        payload.get("datum", {"kind": "constant", "values": 1.0}), config.n, config.d))
+    datum = datum_from_dict(payload.get("datum", {"kind": "constant", "values": 1.0}), n, d)
+    return SimConfig(model=model, tau=_key("config", payload, "tau"),
+                     lam=payload.get("lambda", 0.0), datum=datum, n=n, d=d, weights=weights,
+                     **given)
 
 
 def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:

@@ -59,6 +59,27 @@ def react_no_anticipation_regime(tau: float) -> RegimeLabel:
     return RegimeLabel.UNSTABLE
 
 
+def spectral_radius(model: ModelKind, tau: float, lam: float, m: int) -> float:
+    """Largest root modulus rho of a gap model's scheme polynomial, at tau > 0.
+
+    With dt = tau/m the implicit scheme's gap is a linear recurrence with the
+    characteristic polynomial z^{m+1} - z^m + 2dt[(1+lam*m) z - lam*m] for the
+    reaction gap and (1+dt) z^{m+1} - z^m + dt[(1+lam*m) z - lam*m] for the
+    transmission gap. The gap decays iff rho < 1, at log(rho)/dt per unit time.
+    """
+    model = ModelKind(model)
+    if not model.is_scalar or not tau > 0:
+        raise ValueError("spectral_radius covers the two gap models at tau > 0")
+    dt = tau / m
+    scale = 2.0 * dt if model.is_reaction else dt
+    coeffs = np.zeros(m + 2)
+    coeffs[0] = 1.0 if model.is_reaction else 1.0 + dt
+    coeffs[1] -= 1.0
+    coeffs[m] += scale * (1.0 + lam * m)
+    coeffs[m + 1] -= scale * lam * m
+    return float(np.abs(np.roots(coeffs)).max())
+
+
 @dataclass
 class OverlayCurve:
     label: str

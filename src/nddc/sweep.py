@@ -19,13 +19,12 @@ from .models import analytic_overlays
 #: Bisection steps resolved per batched round (2**k - 1 lanes), from
 #: measurement. A reaction-gap block costs mostly NumPy dispatch, so 15 lanes
 #: cost little more than one; the transmission gap loops per lane on Python
-#: floats, so every extra lane costs nearly a full run, and every speculative
-#: lane that comes back Inconclusive adds a full retry. Over the criterion 1
-#: and 4 landmarks with verdict-only lanes, the reaction bisections took a
-#: median 1.80 s at k = 4 against 2.04 s at k = 3 (10 alternating runs; k = 2
-#: and 5 were no faster), and the transmission ones 3.30 s at k = 1 against
-#: 3.57 s at k = 2 (8 runs).
-BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 4, ModelKind.TWO_AGENT_TRANSMISSION: 1}
+#: floats, so extra lanes pay off far less. Over the criterion 1
+#: and 4 landmarks with one run per cell (20 alternating runs, 2-core VM), the
+#: reaction bisections took a median 0.61 s at k = 4 against 0.69 s at k = 3,
+#: and 0.56 s against 0.68 s at k = 5; the transmission ones 1.04 s at k = 2
+#: against 1.12 s at k = 1 (faster in 16 of 20 runs), and k = 3 was slower.
+BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 4, ModelKind.TWO_AGENT_TRANSMISSION: 2}
 
 
 @dataclass(frozen=True)
@@ -51,16 +50,10 @@ class SweepSettings:
         object.__setattr__(self, "steps_per_delay",
                            integer("steps_per_delay", self.steps_per_delay, minimum=1))
 
-    def horizon(self, tau: float) -> float:
-        """The run horizon at ``tau`` before mesh alignment."""
-        return self.t_end if self.t_end is not None else default_horizon(tau)
 
-
-def cell_config(settings: SweepSettings, lam: float, tau: float,
-                steps_per_delay: Optional[int] = None,
-                t_end: Optional[float] = None) -> SimConfig:
-    m = steps_per_delay if steps_per_delay is not None else settings.steps_per_delay
-    target = t_end if t_end is not None else settings.horizon(tau)
+def cell_config(settings: SweepSettings, lam: float, tau: float) -> SimConfig:
+    m = settings.steps_per_delay
+    horizon = settings.t_end if settings.t_end is not None else default_horizon(tau)
     return SimConfig(
         model=settings.model,
         tau=tau,
@@ -68,7 +61,7 @@ def cell_config(settings: SweepSettings, lam: float, tau: float,
         datum=ConstantDatum([[1.0]]),
         n=1,
         steps_per_delay=m,
-        t_end=aligned_t_end(tau, m, target),
+        t_end=aligned_t_end(tau, m, horizon),
     )
 
 
@@ -173,19 +166,12 @@ def grid_sweep(
 
 
 def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]:
-    # Converged or Diverged for each tau, the first runs as one batch of lanes.
-    # Inconclusive cells get one retry at doubled resolution and horizon, all
-    # retries as a second batch, then count as the diverged side
-    # (conservative for the stable region).
-    labels = [label for label, _ in
-              classify_lanes([cell_config(settings, lam, tau) for tau in taus])]
-    retry = [i for i, label in enumerate(labels) if label is Classification.INCONCLUSIVE]
-    configs = [cell_config(settings, lam, taus[i], steps_per_delay=2 * settings.steps_per_delay,
-                           t_end=2.0 * settings.horizon(taus[i])) for i in retry]
-    for i, (label, _) in zip(retry, classify_lanes(configs)):
-        converged = label is Classification.CONVERGED
-        labels[i] = Classification.CONVERGED if converged else Classification.DIVERGED
-    return labels
+    # Converged or Diverged for each tau, as one batch of lanes. A cell that
+    # neither the horizon rules nor its fitted decay rate decide counts as the
+    # diverged side (conservative for the stable region).
+    return [Classification.CONVERGED if label is Classification.CONVERGED
+            else Classification.DIVERGED
+            for label, _ in classify_lanes([cell_config(settings, lam, tau) for tau in taus])]
 
 
 def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:

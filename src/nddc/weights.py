@@ -83,12 +83,13 @@ def gamma(matrix: WeightMatrix) -> float:
     return 1.0 - (n - 2) * psi_min
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightSpec:
     """Generator recipe for a weight matrix (used by configs and the CLI).
 
     The seed must be >= 0, as every generator's random stream needs, and
     ``min_off_diagonal`` (default 0.5/(n-1)) is for random-row-stochastic only.
+    Frozen, as ``SimConfig`` is: a spec is judged once, when it is built.
     """
 
     kind: str
@@ -99,12 +100,13 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "random-row-stochastic", "random-symmetric-bistochastic"):
             raise ValueError(f"unknown weight spec kind: {self.kind!r}")
-        self.n = integer("n", self.n)
-        self.seed = integer("seed", self.seed, minimum=0)
+        object.__setattr__(self, "n", integer("n", self.n))
+        object.__setattr__(self, "seed", integer("seed", self.seed, minimum=0))
         if self.min_off_diagonal is not None:
             if self.kind != "random-row-stochastic":
                 raise ValueError("min_off_diagonal applies to random-row-stochastic weights only")
-            self.min_off_diagonal = real("min_off_diagonal", self.min_off_diagonal)
+            object.__setattr__(self, "min_off_diagonal",
+                               real("min_off_diagonal", self.min_off_diagonal))
 
     def build(self) -> WeightMatrix:
         if self.kind == "uniform":

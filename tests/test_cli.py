@@ -21,6 +21,23 @@ def test_run_two_agent(tmp_path, capsys):
     assert "converged" in capsys.readouterr().out
 
 
+def test_run_manifest_records_the_fitted_rate(tmp_path):
+    # A fig3 cell that decays too slowly to fall by 1e3 within its horizon:
+    # its fitted decay rate decides it. A run the horizon rules decide fits none,
+    # and its manifest records null.
+    out = tmp_path / "out"
+    assert main(["run", "--model", "two-agent-reaction", "--tau", "0.8", "--lambda", "0.1",
+                 "--steps-per-delay", "32", "--t-end", "50", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["classification"] == "converged"
+    assert manifest["summary"]["final_dx"] >= 1e-3
+    assert -0.09 < manifest["summary"]["rate"] < -0.08
+    assert main(["run", "--model", "two-agent-reaction", "--tau", "0.2",
+                 "--t-end", "50", "--out", str(out)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["final_dx"] < 1e-3 and summary["rate"] is None
+
+
 def test_run_is_deterministic(tmp_path):
     args = ["run", "--model", "two-agent-reaction", "--tau", "0.2",
             "--lambda", "0.1", "--steps-per-delay", "16", "--t-end", "4"]

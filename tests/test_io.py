@@ -9,6 +9,7 @@ import pytest
 from nddc.core import (
     ConstantDatum,
     LinearDatum,
+    Mesh,
     MeshAlignmentError,
     ModelKind,
     SampledDatum,
@@ -170,6 +171,22 @@ class TestParseConfig:
         assert np.array_equal(own.weights.weights, expected)
         with pytest.raises(ValueError, match="weight matrix size 3 does not match n = 4"):
             config_from_dict({**payload, "weights": {**payload["weights"], "n": 3}})
+
+    def test_config_is_built_once(self, monkeypatch):
+        # Each SimConfig builds its Mesh once; the reader used to build a
+        # second config to add the datum.
+        calls = []
+        build = Mesh.build
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(Mesh, "build", counting)
+        cfg = config_from_dict({"model": "transmission", "tau": 0.25, "n": 3, "d": 2,
+                                "datum": {"kind": "linear", "start": 1.0, "slope": 0.5}})
+        assert len(calls) == 1
+        assert cfg.datum.start.shape == (3, 2)
 
     def test_fractional_steps_per_delay_not_truncated(self):
         payload = {"model": "two-agent-transmission", "tau": 0.5, "steps_per_delay": 2.5}

@@ -88,7 +88,8 @@ def reference_run(config):
         diameters, pairs = np.abs(states[:, 0, 0]), np.tile([1, 2], (len(states), 1))
     else:
         diameters, pairs = diameter_series(states)
-    label, _ = classify_series(diameters, aborted=abort_step is not None, abort_step=abort_step)
+    label, _ = classify_series(diameters, aborted=abort_step is not None, abort_step=abort_step,
+                               step=dt, steps_per_delay=m)
     return states, derivs, diameters, pairs, label, abort_step
 
 

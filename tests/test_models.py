@@ -14,17 +14,20 @@ from nddc.core import (
     SampledDatum,
     SimConfig,
 )
-from nddc.integrator import run
+from nddc.integrator import classify_lanes, run
 from nddc.models import (
     CRITICAL_TAU_NO_ANTICIPATION,
     RegimeLabel,
     analytic_overlays,
     react_no_anticipation_regime,
     react_two_agent_sufficient,
+    spectral_radius,
     theorem_reaction_condition,
     theorem_transmission_condition,
     trans_two_agent_stable,
 )
+from nddc.presets import figure_preset
+from nddc.sweep import SweepSettings, cell_config
 
 
 def _gap_run(model, value=0.0, lam=0.0, m=4, tau=0.2, steps=50, datum=None):
@@ -179,3 +182,66 @@ class TestOverlays:
         for lam, tau in zip(lam_values.tolist(), curve.tau.tolist()):
             assert predicate(lam, tau * (1 - 1e-12)), (lam, tau)
             assert not predicate(lam, tau * (1 + 1e-12)), (lam, tau)
+
+
+def _spectral_rate(settings, lam, tau):
+    m = settings.steps_per_delay
+    return math.log(spectral_radius(settings.model, tau, lam, m)) / (tau / m)
+
+
+def _check_against_oracle(settings, lam_values, tau, rel):
+    # Every verdict of the row's cells agrees with the sign of log(rho), and
+    # every fitted rate is within ``rel`` or 5e-4 of log(rho)/dt. Returns the
+    # number of cells the fitted rate decided.
+    by_rate = 0
+    cells = classify_lanes([cell_config(settings, lam, tau) for lam in lam_values])
+    for lam, (label, evidence) in zip(lam_values, cells):
+        want = _spectral_rate(settings, lam, tau)
+        if label is not Classification.INCONCLUSIVE:
+            assert (label is Classification.CONVERGED) == (want < 0), (lam, tau, label, want)
+        if math.isfinite(evidence.rate):
+            assert abs(evidence.rate - want) <= max(rel * abs(want), 5e-4), (lam, tau, want)
+            by_rate += label is not Classification.INCONCLUSIVE
+    return by_rate
+
+
+class TestSpectralOracle:
+    def test_no_anticipation_threshold_at_32_steps(self):
+        # The m = 32 scheme is stable up to tau = 0.79778, above pi/4.
+        model = ModelKind.TWO_AGENT_REACTION
+        assert spectral_radius(model, 0.797, 0.0, 32) < 1.0 < spectral_radius(model, 0.799, 0.0, 32)
+
+    def test_transmission_edge_is_lambda_tau_one(self):
+        model = ModelKind.TWO_AGENT_TRANSMISSION
+        for lam in (0.5, 2.0):
+            assert spectral_radius(model, 0.99 / lam, lam, 64) < 1.0
+            assert spectral_radius(model, 1.01 / lam, lam, 64) > 1.0
+
+    @pytest.mark.parametrize("model,tau", [(ModelKind.TRANSMISSION, 0.5),
+                                           (ModelKind.TWO_AGENT_REACTION, 0.0)])
+    def test_rejects_n_agent_models_and_zero_delay(self, model, tau):
+        with pytest.raises(ValueError, match="gap models at tau > 0"):
+            spectral_radius(model, tau, 0.5, 32)
+
+    def test_fig3_verdicts_and_rates_match_the_scheme(self):
+        job = figure_preset("fig3").sweep
+        by_rate = sum(_check_against_oracle(job.settings, job.lam_values.tolist(), float(tau), 0.1)
+                      for tau in job.tau_values if tau > 0)
+        # The 40 cells the horizon rules leave undecided.
+        assert by_rate == 40
+
+    @pytest.mark.parametrize("lam,taus", [(0.0, (0.78, 0.795, 0.8, 0.81)),
+                                          (0.25, (0.9, 0.905, 0.91, 0.92))])
+    def test_reaction_bisection_cells_match_the_scheme(self, lam, taus):
+        settings = SweepSettings(ModelKind.TWO_AGENT_REACTION, 32, 300.0)
+        assert sum(_check_against_oracle(settings, [lam], tau, 0.1) for tau in taus) == 4
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
+    def test_transmission_bisection_cells_match_the_scheme(self, lam):
+        # Near lam*tau = 1 the largest roots lie near the Nyquist frequency, and
+        # the unit-gap datum mostly excites the slowest chain mode, whose rate
+        # differs from log(rho)/dt by up to a quarter (worst seen: 26 % at
+        # lam = 1, lam*tau = 1.005) within the bisection's horizon.
+        settings = SweepSettings(ModelKind.TWO_AGENT_TRANSMISSION, 64, max(128.0, 400.0 / lam))
+        for lam_tau in (0.99, 0.995, 1.005, 1.01):
+            _check_against_oracle(settings, [lam], lam_tau / lam, 0.3)

@@ -1,5 +1,7 @@
 """Weight generator and structural flag tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,14 @@ class TestWeightSpec:
     def test_non_integers_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             WeightSpec(kind="random-symmetric-bistochastic", **{key: value})
+
+    def test_frozen_after_its_checks(self):
+        # An assignment after construction would escape the checks above.
+        spec = WeightSpec(kind="random-row-stochastic", n=3, seed=2)
+        for name, value in (("seed", -1), ("n", 2.5), ("min_off_diagonal", 0.9)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert (spec.n, spec.seed) == (3, 2)
 
     def test_min_off_diagonal_only_for_random_row(self):
         with pytest.raises(ValueError, match="random-row-stochastic weights only"):
