@@ -236,6 +236,11 @@ def real(name: str, value, minimum: Optional[float] = None) -> float:
     return float(value)
 
 
+def agent_counts(n, d) -> tuple[int, int]:
+    """``SimConfig``'s rule for its n agents in d dimensions: integers >= 1."""
+    return integer("n", n, minimum=1), integer("d", d, minimum=1)
+
+
 def _mesh_steps(tau: float, steps_per_delay: int, t_end: float) -> tuple[float, float]:
     # The step dt (tau / m, or 1 / m at tau = 0, where the model is an ODE) and
     # t_end / dt, which must be finite, for a finite and positive t_end.
@@ -326,8 +331,9 @@ class SimConfig:
         put("derivative_mode", DerivativeMode(self.derivative_mode))
         # A fractional step count would keep dt = tau / m but delay by int(m) steps.
         put("steps_per_delay", integer("steps_per_delay", self.steps_per_delay, minimum=1))
-        put("n", integer("n", self.n, minimum=1))
-        put("d", integer("d", self.d, minimum=1))
+        n, d = agent_counts(self.n, self.d)
+        put("n", n)
+        put("d", d)
         put("seed", integer("seed", self.seed))
         put("tau", real("tau", self.tau, minimum=0))
         put("lam", real("lambda", self.lam, minimum=0))

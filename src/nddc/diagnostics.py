@@ -11,6 +11,7 @@ from .core import (
     MACHINE_EPS,
     Classification,
     ClassificationEvidence,
+    Mesh,
     ModelKind,
     Trajectory,
     WeightMatrix,
@@ -376,11 +377,11 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     )
 
 
-def _envelope_rate(diameters: np.ndarray, step: float, steps_per_delay: int) -> float:
+def _envelope_rate(diameters: np.ndarray, mesh: Mesh) -> float:
     # Least-squares slope of the log of the per-window peaks, over windows of
     # 4 delays ending at the last node and lying in the trailing half, per
     # unit time; NaN with fewer than 3 windows or a non-finite log.
-    width = 4 * steps_per_delay
+    width = 4 * mesh.steps_per_delay
     count = len(diameters) // 2 // width
     if count < 3:
         return float("nan")
@@ -390,7 +391,7 @@ def _envelope_rate(diameters: np.ndarray, step: float, steps_per_delay: int) -> 
     if not np.isfinite(logs).all():
         return float("nan")
     x = np.arange(count) - 0.5 * (count - 1)
-    return float(x @ logs / (x @ x) / (width * step))
+    return float(x @ logs / (x @ x) / (width * mesh.step_size))
 
 
 def classify_series(
@@ -399,18 +400,16 @@ def classify_series(
     abort_step: Optional[int] = None,
     tol_low: float = TOL_LOW,
     tol_high: float = TOL_HIGH,
-    step: Optional[float] = None,
-    steps_per_delay: Optional[int] = None,
+    mesh: Optional[Mesh] = None,
 ) -> tuple[Classification, ClassificationEvidence]:
     """Classify a diameter series as Converged / Diverged / Inconclusive.
 
     Three horizon rules decide first. Diverged: run aborted, or the peak over
     the last TRAILING_FRACTION of the series exceeds tol_high * max(1, d_x(0)).
     Converged: final diameter below tol_low * max(d_x(0), machine epsilon).
-    A series they leave undecided, given its mesh ``step`` and
-    ``steps_per_delay``, is judged by the decay rate of its envelope: the
-    log of the peak of each 4-delay window over the trailing half, fitted by
-    least squares. A rate below -RATE_TOL is Converged, above +RATE_TOL
+    A series they leave undecided, given the run's ``mesh``, is judged by
+    the decay rate of its envelope: the log of the peak of each 4-delay
+    window over the trailing half, fitted by least squares. A rate below -RATE_TOL is Converged, above +RATE_TOL
     Diverged. Anything else, including neutral oscillation on a knife edge,
     fewer than 3 windows or no mesh given, stays Inconclusive;
     ``evidence.rate`` is NaN where no fit ran.
@@ -440,8 +439,8 @@ def classify_series(
         return Classification.DIVERGED, evidence
     if final < tol_low * max(d0, MACHINE_EPS):
         return Classification.CONVERGED, evidence
-    if step is not None:
-        evidence.rate = _envelope_rate(diameters, step, steps_per_delay)
+    if mesh is not None:
+        evidence.rate = _envelope_rate(diameters, mesh)
         if evidence.rate < -RATE_TOL:
             return Classification.CONVERGED, evidence
         if evidence.rate > RATE_TOL:

@@ -175,8 +175,7 @@ def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence
     configs = list(configs)
     return [
         classify_series(states if states.ndim == 1 else diameter_series(states)[0],
-                        aborted=abort is not None, abort_step=abort,
-                        step=config.mesh.step_size, steps_per_delay=config.steps_per_delay)
+                        aborted=abort is not None, abort_step=abort, mesh=config.mesh)
         for config, (states, _, abort) in zip(configs, _integrate(configs, False))
     ]
 
@@ -336,8 +335,7 @@ def _assemble(config, states, derivs, abort_step,
         means = states.mean(axis=1)
     classification, evidence = classify_series(
         diameters, aborted=abort_step is not None, abort_step=abort_step,
-        tol_low=tol_low, tol_high=tol_high,
-        step=config.mesh.step_size, steps_per_delay=config.steps_per_delay,
+        tol_low=tol_low, tol_high=tol_high, mesh=config.mesh,
     )
     return Trajectory(
         config=config,

@@ -19,7 +19,7 @@ from .core import (
     SimConfig,
     Trajectory,
     WeightMatrix,
-    integer,
+    agent_counts,
 )
 from .diagnostics import IJReport, LyapunovSeries
 from .sweep import StabilityGrid
@@ -132,9 +132,8 @@ def config_from_dict(payload) -> SimConfig:
     SimConfig's own; a null "t_end" or "weights" is the default."""
     payload = _object("config", payload)
     model = ModelKind(_key("config", payload, "model"))
-    # n and d are checked first: the weight spec and the datum's scalars fill them.
-    n = integer("n", payload.get("n", 1 if model.is_scalar else 2), minimum=1)
-    d = integer("d", payload.get("d", 1), minimum=1)
+    # n and d are judged first: the weight spec and the datum's scalars fill them.
+    n, d = agent_counts(payload.get("n", 1 if model.is_scalar else 2), payload.get("d", 1))
     weights = payload.get("weights")
     if weights is not None:
         # A spec takes the config's n unless it gives its own; a gap model takes none.

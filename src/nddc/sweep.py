@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end,
                    default_horizon, integer)
-from .diagnostics import TOL_HIGH, TOL_LOW
+from .diagnostics import RATE_TOL, TOL_HIGH, TOL_LOW
 # ``run`` stays importable from this module for callers that time single cells.
 from .integrator import classify_lanes, run  # noqa: F401
 from .models import analytic_overlays
@@ -19,12 +20,22 @@ from .models import analytic_overlays
 #: Bisection steps resolved per batched round (2**k - 1 lanes), from
 #: measurement. A reaction-gap block costs mostly NumPy dispatch, so 15 lanes
 #: cost little more than one; the transmission gap loops per lane on Python
-#: floats, so extra lanes pay off far less. Over the criterion 1
-#: and 4 landmarks with one run per cell (20 alternating runs, 2-core VM), the
-#: reaction bisections took a median 0.61 s at k = 4 against 0.69 s at k = 3,
-#: and 0.56 s against 0.68 s at k = 5; the transmission ones 1.04 s at k = 2
-#: against 1.12 s at k = 1 (faster in 16 of 20 runs), and k = 3 was slower.
+#: floats, so extra lanes pay off far less. Over the criterion 1 and 4
+#: landmarks (alternating runs, 2-core VM), the reaction bisections, with their
+#: 2m reruns, took a median 1.09 s at k = 4 against 1.18 s at k = 3 and 1.20 s
+#: at k = 5 (k = 4 faster in 10 and 11 of 12 runs); the transmission ones, one
+#: run per cell, 1.04 s at k = 2 against 1.12 s at k = 1 (faster in 16 of 20
+#: runs), and k = 3 was slower.
 BISECT_DEPTH = {ModelKind.TWO_AGENT_REACTION: 4, ModelKind.TWO_AGENT_TRANSMISSION: 2}
+
+#: Models whose bisection verdicts are extrapolated to dt -> 0 (see
+#: ``_classify``). The reaction scheme's threshold moves by O(tau/m): rho = 1 at
+#: tau = 0.79778 for lam = 0 and m = 32, at 0.79156 for m = 64, and at 0.78534
+#: for their extrapolation 2 tau(2m) - tau(m), against pi/4 = 0.78540. The
+#: transmission scheme's rho crosses 1 at lam*tau = 1 at every m; over the
+#: criterion 1 landmarks a second run moved lam*tau* by at most 2e-5 and made
+#: the transmission bisections 75 % slower.
+EXTRAPOLATED = frozenset({ModelKind.TWO_AGENT_REACTION})
 
 
 @dataclass(frozen=True)
@@ -168,10 +179,24 @@ def grid_sweep(
 def _classify(settings: SweepSettings, lam: float, taus) -> list[Classification]:
     # Converged or Diverged for each tau, as one batch of lanes. A cell that
     # neither the horizon rules nor its fitted decay rate decide counts as the
-    # diverged side (conservative for the stable region).
+    # diverged side (conservative for the stable region). For a model in
+    # EXTRAPOLATED, the cells that the horizon rules leave to the rate fit r(m)
+    # run again at 2m over the same horizon, as a second batch, and are judged
+    # by 2 r(2m) - r(m), which cancels the scheme's first-order shift of the
+    # threshold; a 2m run that its horizon rules decide keeps its own verdict.
+    verdicts = classify_lanes([cell_config(settings, lam, tau) for tau in taus])
+    if settings.model in EXTRAPOLATED:
+        fine = replace(settings, steps_per_delay=2 * settings.steps_per_delay)
+        fitted = [i for i, (_, evidence) in enumerate(verdicts) if math.isfinite(evidence.rate)]
+        reruns = classify_lanes([cell_config(fine, lam, taus[i]) for i in fitted])
+        for i, (label, evidence) in zip(fitted, reruns):
+            if math.isfinite(evidence.rate):
+                rate = 2.0 * evidence.rate - verdicts[i][1].rate
+                label = (Classification.CONVERGED if rate < -RATE_TOL
+                         else Classification.DIVERGED)
+            verdicts[i] = label, evidence
     return [Classification.CONVERGED if label is Classification.CONVERGED
-            else Classification.DIVERGED
-            for label, _ in classify_lanes([cell_config(settings, lam, tau) for tau in taus])]
+            else Classification.DIVERGED for label, _ in verdicts]
 
 
 def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
@@ -198,6 +223,8 @@ def boundary_bisect(
     Requires a valid bracket: Converged at tau_low, Diverged at tau_high
     (each judged by a full run; both ends run as one batch). Returns the
     bracket midpoint after the given number of iterations, an integer >= 0.
+    For a model in EXTRAPOLATED, a cell its fitted rate decides is judged by
+    the rates at m and 2m extrapolated to dt -> 0 (see ``_classify``).
 
     Each round batches the midpoints the next BISECT_DEPTH[model] steps could
     visit (see ``classify_lanes``, which reads only each lane's verdict and

@@ -22,6 +22,7 @@ from nddc.diagnostics import (
     transmission_decay_coefficient,
 )
 from nddc.integrator import refine_oracle, run
+from nddc.models import spectral_radius
 from nddc.presets import figure_preset
 from nddc.sweep import SweepSettings, boundary_bisect, grid_sweep
 from nddc.weights import gamma, make_random_row_stochastic, make_uniform
@@ -31,6 +32,14 @@ SUITE_SIZE = 50
 
 def _verdict(criterion: str, detail: str) -> None:
     print(f"CRITERION {criterion}: PASS ({detail})")
+
+
+def _scheme_threshold(model, lam, m, lo, hi):
+    # The tau at which the m-step scheme's spectral radius crosses 1 (bisected).
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if spectral_radius(model, mid, lam, m) < 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -147,6 +156,12 @@ def test_criterion_4_stabilization_window():
     tau_no_anticipation = boundary_bisect(settings, 0.0, 0.6, 0.95, iterations=20)
     err = abs(tau_no_anticipation - math.pi / 4.0)
     assert err <= 0.02, f"tau*(0) = {tau_no_anticipation}"
+    # The bisection lands where the m = 32 and m = 64 schemes' thresholds
+    # extrapolate to (0.78534, while m = 32 alone gives 0.79778), less the
+    # band |rate| <= RATE_TOL that counts as diverged (about 9e-4 in tau).
+    coarse, fine = (_scheme_threshold(settings.model, 0.0, m, 0.6, 0.95) for m in (32, 64))
+    assert abs(tau_no_anticipation - (2.0 * fine - coarse)) <= 2e-3, (
+        tau_no_anticipation, coarse, fine)
 
     apex = max(
         boundary_bisect(settings, lam, 0.6, 1.1, iterations=20)

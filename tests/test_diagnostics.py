@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nddc.core import Classification, ConstantDatum, ModelKind, SimConfig, WeightMatrix
+from nddc.core import Classification, ConstantDatum, Mesh, ModelKind, SimConfig, WeightMatrix
 from nddc.diagnostics import (
     RATE_TOL,
     _phi_and_dissimilarity,
@@ -453,12 +453,13 @@ class TestClassify:
 
     # A run on a mesh of 25 steps per delay, dt = 0.02, up to t = 50: the rate
     # fit sees five 4-delay windows in the trailing half.
+    MESH = Mesh.build(0.5, 25, 50.0)
     MESH_TIMES = np.arange(2501) * 0.02
 
     def test_slow_decay_is_decided_by_rate(self):
         t = self.MESH_TIMES
         series = np.exp(-0.05 * t) * np.abs(np.cos(3 * t))
-        cls, evidence = classify_series(series, step=0.02, steps_per_delay=25)
+        cls, evidence = classify_series(series, mesh=self.MESH)
         assert evidence.final_dx >= 1e-3 * evidence.initial_dx
         assert cls is Classification.CONVERGED
         assert evidence.rate == pytest.approx(-0.05, rel=0.01)
@@ -469,22 +470,21 @@ class TestClassify:
     def test_slow_growth_is_decided_by_rate(self):
         t = self.MESH_TIMES
         series = np.exp(0.02 * t) * (1.5 + np.cos(3 * t))
-        cls, evidence = classify_series(series, step=0.02, steps_per_delay=25)
+        cls, evidence = classify_series(series, mesh=self.MESH)
         assert evidence.trailing_peak <= 1e3 * evidence.initial_dx
         assert cls is Classification.DIVERGED
         assert evidence.rate == pytest.approx(0.02, rel=0.1)
 
     def test_neutral_series_stays_inconclusive_with_its_rate(self):
         t = self.MESH_TIMES
-        cls, evidence = classify_series(np.abs(np.cos(3 * t)) + 0.1, step=0.02,
-                                        steps_per_delay=25)
+        cls, evidence = classify_series(np.abs(np.cos(3 * t)) + 0.1, mesh=self.MESH)
         assert cls is Classification.INCONCLUSIVE
         assert abs(evidence.rate) < RATE_TOL
 
     def test_short_series_gets_no_rate(self):
         # Fewer than three windows in the trailing half: no fit.
         series = np.full(5 * 4 * 25, 0.5)
-        cls, evidence = classify_series(series, step=0.02, steps_per_delay=25)
+        cls, evidence = classify_series(series, mesh=self.MESH)
         assert cls is Classification.INCONCLUSIVE and np.isnan(evidence.rate)
 
     def test_aborted_series_diverges(self):

@@ -89,7 +89,7 @@ def reference_run(config):
     else:
         diameters, pairs = diameter_series(states)
     label, _ = classify_series(diameters, aborted=abort_step is not None, abort_step=abort_step,
-                               step=dt, steps_per_delay=m)
+                               mesh=config.mesh)
     return states, derivs, diameters, pairs, label, abort_step
 
 

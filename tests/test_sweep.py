@@ -1,15 +1,17 @@
 """Stability-grid sweeps and boundary bisection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nddc.core import Classification, ModelKind
-from nddc.diagnostics import TOL_HIGH, TOL_LOW
+from nddc.diagnostics import RATE_TOL, TOL_HIGH, TOL_LOW
 from nddc.integrator import run
 from nddc.models import react_two_agent_sufficient
 from nddc.sweep import (
+    EXTRAPOLATED,
     SweepSettings,
     boundary_bisect,
     cell_config,
@@ -18,12 +20,21 @@ from nddc.sweep import (
 
 
 def sequential_bisect(settings, lam, tau_low, tau_high, iterations):
-    """Step-by-step bisection, one run per midpoint: (tau*, the midpoints' runs)."""
-    runs = []
+    """Step-by-step bisection: (tau*, the midpoints' first runs, the 2m reruns)."""
+    runs, reruns = [], []
 
     def converged(tau):
-        # A cell left Inconclusive counts as the diverged side.
+        # A cell left Inconclusive counts as the diverged side. For a model in
+        # EXTRAPOLATED, a cell decided by its rate r(m) runs again at 2m and
+        # is judged by 2 r(2m) - r(m), unless the horizon rules decide that run.
         runs.append(run(cell_config(settings, lam, tau)))
+        coarse = runs[-1].evidence.rate
+        if settings.model in EXTRAPOLATED and math.isfinite(coarse):
+            fine = replace(settings, steps_per_delay=2 * settings.steps_per_delay)
+            reruns.append(run(cell_config(fine, lam, tau)))
+            if math.isfinite(reruns[-1].evidence.rate):
+                return 2.0 * reruns[-1].evidence.rate - coarse < -RATE_TOL
+            return reruns[-1].classification is Classification.CONVERGED
         return runs[-1].classification is Classification.CONVERGED
 
     if not tau_low < tau_high:
@@ -39,7 +50,7 @@ def sequential_bisect(settings, lam, tau_low, tau_high, iterations):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), runs[2:]
+    return 0.5 * (lo + hi), runs[2:], reruns
 
 
 class TestGridSweep:
@@ -188,14 +199,17 @@ class TestBoundaryBisect:
         # Rounds run the midpoints the next steps could visit as one batch; the
         # threshold must be the same double as a step-by-step bisection.
         settings = SweepSettings(model=model, steps_per_delay=8, t_end=60.0)
-        want, midpoints = sequential_bisect(settings, lam, tau_low, tau_high, iterations)
+        want, midpoints, reruns = sequential_bisect(settings, lam, tau_low, tau_high,
+                                                    iterations)
         assert boundary_bisect(settings, lam, tau_low, tau_high, iterations) == want
         if iterations == 7:
             # Near the threshold the horizon rules leave a cell undecided, and
-            # its fitted decay rate decides it.
+            # its fitted decay rate decides it; a reaction cell so decided is
+            # judged by its rates extrapolated from m and 2m.
             assert any(traj.classification is not Classification.INCONCLUSIVE
                        and traj.evidence.final_dx >= TOL_LOW * traj.evidence.initial_dx
                        and math.isfinite(traj.evidence.rate) for traj in midpoints)
+            assert bool(reruns) == (model in EXTRAPOLATED)
 
     @pytest.mark.parametrize("tau_low,tau_high", [
         (0.5, 0.3), (0.7, 0.7), (float("nan"), 0.9), (-0.1, 0.9),
