@@ -3,7 +3,6 @@
 from .core import (
     Classification,
     ConstantDatum,
-    DerivativeMode,
     LinearDatum,
     ModelKind,
     NonFiniteStateError,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Classification",
     "ConstantDatum",
-    "DerivativeMode",
     "LinearDatum",
     "Mesh",
     "ModelKind",

@@ -36,8 +36,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"weights file, or one of: {', '.join(WEIGHT_KINDS)}")
     parser.add_argument("--min-off-diagonal", type=float)
     parser.add_argument("--datum", help="constant:c | linear:a,b | file:PATH")
-    parser.add_argument("--derivative-mode",
-                        choices=["backward-difference", "stored-rhs"])
     parser.add_argument("--out", type=Path, default=Path("nddc-out"))
 
 
@@ -82,7 +80,6 @@ def _overrides(args) -> dict:
         "seed": args.seed,
         "weights": _weights_payload(args),
         "datum": _datum_payload(args.datum),
-        "derivative_mode": args.derivative_mode,
     }
 
 
@@ -122,8 +119,7 @@ def _cmd_run(args) -> int:
             "final_dx": traj.evidence.final_dx,
             "trailing_peak": traj.evidence.trailing_peak,
             "trailing_ratio": traj.evidence.trailing_ratio,
-            # JSON has no NaN: a run that fitted no rate records null.
-            "rate": None if np.isnan(traj.evidence.rate) else traj.evidence.rate,
+            "rate": traj.evidence.rate,
             "aborted": traj.evidence.aborted,
         },
     )
@@ -171,7 +167,7 @@ def _cmd_figure(args) -> int:
             path = out / f"{preset.name}_{name}"
             writer(grid, path)
             outputs.append(path)
-        summary["boundary"] = [None if np.isnan(v) else float(v) for v in grid.boundary]
+        summary["boundary"] = grid.boundary.tolist()
         config_payload = {"sweep": preset.name}
     else:
         config_payload = {}

@@ -41,18 +41,6 @@ class ModelKind(str, enum.Enum):
         return self in (ModelKind.REACTION, ModelKind.TWO_AGENT_REACTION)
 
 
-class DerivativeMode(str, enum.Enum):
-    """How the delayed derivative entering the anticipation term is evaluated.
-
-    BACKWARD_DIFFERENCE recomputes (x(k) - x(k-1)) / dt from stored states;
-    STORED_RHS reuses the right-hand side recorded when node k was accepted.
-    Inside the initial-datum window both read the datum's analytic derivative.
-    """
-
-    BACKWARD_DIFFERENCE = "backward-difference"
-    STORED_RHS = "stored-rhs"
-
-
 class Classification(str, enum.Enum):
     CONVERGED = "converged"
     DIVERGED = "diverged"
@@ -320,7 +308,6 @@ class SimConfig:
     steps_per_delay: int = 32
     t_end: Optional[float] = None
     weights: Optional[WeightMatrix] = None
-    derivative_mode: DerivativeMode = DerivativeMode.BACKWARD_DIFFERENCE
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -328,7 +315,6 @@ class SimConfig:
             object.__setattr__(self, name, value)
 
         put("model", ModelKind(self.model))
-        put("derivative_mode", DerivativeMode(self.derivative_mode))
         # A fractional step count would keep dt = tau / m but delay by int(m) steps.
         put("steps_per_delay", integer("steps_per_delay", self.steps_per_delay, minimum=1))
         n, d = agent_counts(self.n, self.d)
@@ -376,9 +362,12 @@ class Trajectory:
     """Recorded time series of one run plus per-step diagnostics.
 
     ``states`` and ``derivatives`` have shape (K+1, N, d) over mesh nodes
-    0..K (t >= 0). ``argmax_pairs`` holds the 1-based agent pair attaining the
-    diameter at each node; for the two-agent scalar reductions the stored state
-    is the gap x1 - x2, the diameter series is |x|, and the pair is (1, 2).
+    0..K (t >= 0). ``derivatives`` holds the delayed derivative D(k) the
+    anticipation term reads: the datum's slope at node 0, then the backward
+    difference (x(k) - x(k-1)) / dt, bit for bit as the scheme forms it.
+    ``argmax_pairs`` holds the 1-based agent pair attaining the diameter at
+    each node; for the two-agent scalar reductions the stored state is the gap
+    x1 - x2, the diameter series is |x|, and the pair is (1, 2).
     """
 
     config: SimConfig

@@ -199,8 +199,8 @@ def lyap_transmission(traj: Trajectory,
 
     with kappa = (1+lam*tau)/(2*gamma) - lam*tau and Psi~ the delayed weighted
     averages. The history integral uses the right-endpoint mesh rule, matching
-    the implicit scheme's evaluation point; with the backward-difference
-    derivative mode the per-step decrement then provably stays below
+    the implicit scheme's evaluation point; with the scheme's backward-difference
+    delayed derivative the per-step decrement then provably stays below
     -(1-gamma)(1-lam*tau*gamma) * d_x(n+1)^2 * dt up to rounding, so the check
     needs no discretization allowance. Checking starts after max(2*tau, T0),
     where T0 is the last time the argmax pair changed; passing an explicit
@@ -275,8 +275,8 @@ def lyap_reaction(traj: Trajectory) -> LyapunovSeries:
     integral carries 1/2. Both history integrals use right-endpoint mesh
     rules. The admissible per-step decrement splits the continuous coefficient
     (1+lam)*tau - 1/2 into (delta-1)/2 applied at D(n+1-m) plus tau/2 applied
-    one node later at D(n+2-m); with the backward-difference scheme the
-    resulting inequality is exact up to rounding. Phi and the dissimilarity
+    one node later at D(n+2-m); with the scheme's backward-difference delayed
+    derivative the resulting inequality is exact up to rounding. Phi and the dissimilarity
     of every node come from one product W X over the whole trajectory.
     """
     cfg = traj.config
@@ -342,8 +342,10 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     """Check sup |x_i| <= (1+lam*tau) M and recorded |x_i'| <= 3 (1+lam*tau) M,
     each up to a factor 1 + APRIORI_REL_SLACK.
 
-    M is the largest agent-wise Euclidean norm of the datum's states and
-    derivatives on [-tau, 0]. Applies to transmission runs with lam*tau <= 1.
+    The recorded derivatives are ``traj.derivatives``: the datum's slope at
+    t = 0, then the backward differences the scheme reads. M is the largest
+    agent-wise Euclidean norm of the datum's states and derivatives on
+    [-tau, 0]. Applies to transmission runs with lam*tau <= 1.
     """
     cfg = traj.config
     if cfg.model is not ModelKind.TRANSMISSION:

@@ -11,7 +11,6 @@ from .core import (
     DIVERGENCE_GUARD,
     Classification,
     ClassificationEvidence,
-    DerivativeMode,
     Mesh,  # noqa: F401  (re-exported)
     ModelKind,
     NonFiniteStateError,
@@ -31,16 +30,15 @@ def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> 
 
 
 def _block_advance(config: SimConfig, dts: np.ndarray, delayed: bool):
-    """The model's update over one block: advance(slab, z, cols, rhs) -> rhs.
+    """The model's update over one block: advance(slab, z, cols).
 
     ``slab`` is rows 0..count of the time-major history, (1 + count, L) for the
     gap models or (1 + count, 1, N, d) for an N-agent model's one lane; row 0
     holds the last accepted states, and ``advance`` writes the next ``count``
     into rows 1.. in place. ``z`` holds the anticipated inputs
     x(k) + lam*tau*D(k), k = n+1-m, shaped like rows 1.. (None when tau = 0),
-    and ``cols`` picks the block's lanes, whose steps are ``dts``. Returns the
-    right-hand sides recorded as the new states' derivatives when ``rhs`` is
-    set, else None. Each lane takes the same operations as a run of its own.
+    and ``cols`` picks the block's lanes, whose steps are ``dts``. Each lane
+    takes the same operations as a run of its own.
     """
     model = config.model
     if model.is_scalar:
@@ -48,15 +46,14 @@ def _block_advance(config: SimConfig, dts: np.ndarray, delayed: bool):
             # Both gap equations reduce to x' = -2x; implicit Euler divides by 1 + 2 dt.
             factors = 1.0 / (1.0 + 2.0 * dts)
 
-            def advance(slab, z, cols, rhs):
+            def advance(slab, z, cols):
                 slab[1:] = factors[cols]
                 np.multiply.accumulate(slab, axis=0, out=slab)
-                return -2.0 * slab[1:] if rhs else None
         elif model is ModelKind.TWO_AGENT_TRANSMISSION:
             # Implicit Euler of x' = -x - z: x(n+1) = (x(n) - dt z) / (1 + dt),
             # looped on Python floats lane by lane: per step that is far
             # cheaper than NumPy scalar arithmetic.
-            def advance(slab, z, cols, rhs):
+            def advance(slab, z, cols):
                 columns = []
                 for step, gap, inputs in zip(dts[cols].tolist(), slab[0].tolist(), z.T.tolist()):
                     column, denominator = [], 1.0 + step
@@ -65,15 +62,13 @@ def _block_advance(config: SimConfig, dts: np.ndarray, delayed: bool):
                         column.append(gap)
                     columns.append(column)
                 slab[1:].T[...] = columns
-                return -z - slab[1:] if rhs else None
         else:
             # x' = -2 z with z known: x(n+1) = x(n) - 2 dt z.
             scales = -2.0 * dts
 
-            def advance(slab, z, cols, rhs):
+            def advance(slab, z, cols):
                 np.multiply(scales[cols], z, out=slab[1:])
                 np.add.accumulate(slab, axis=0, out=slab)
-                return -2.0 * z if rhs else None
         return advance
 
     weights = config.weights
@@ -89,30 +84,26 @@ def _block_advance(config: SimConfig, dts: np.ndarray, delayed: bool):
             system = eye + dt * (np.diag(w.sum(axis=1)) - w)
         propagate = np.linalg.inv(system)
 
-        def advance(slab, z, cols, rhs):
+        def advance(slab, z, cols):
             x = slab[0, 0]
             for s in range(1, len(slab)):
                 x = slab[s, 0] = x + dt * (propagate @ _pairwise(w, x, x))
-            return _pairwise(w, slab[1:], slab[1:]) if rhs else None
     elif model is ModelKind.TRANSMISSION:
         # (x_i(n+1) - x_i(n)) / dt = sum_j w_ij (z_j - x_i(n+1)); with
         # off-diagonal row sums equal to 1 the closed form is
         # x(n+1) = x(n) + dt/(1+dt) * sum_j w_ij (z_j - x_i(n)).
         gain = dt / (1.0 + dt)
 
-        def advance(slab, z, cols, rhs):
+        def advance(slab, z, cols):
             x = slab[0, 0]
             for s in range(len(z)):
                 x = slab[s + 1, 0] = x + gain * _pairwise(w, z[s, 0], x)
-            return _pairwise(w, z, slab[1:]) if rhs else None
     else:
         # x_i' = sum_j w_ij (z_j - z_i): every term is known, so the implicit
         # scheme is a direct update; diagonal weights cancel in the differences.
-        def advance(slab, z, cols, rhs):
-            rates = _pairwise(w, z, z)
-            np.multiply(dt, rates, out=slab[1:])
+        def advance(slab, z, cols):
+            np.multiply(dt, _pairwise(w, z, z), out=slab[1:])
             np.add.accumulate(slab, axis=0, out=slab)
-            return rates
     return advance
 
 
@@ -148,16 +139,17 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
 def run_lanes(configs) -> list[Trajectory]:
     """Run every configuration in ``configs`` as a lane of one batch.
 
-    The lanes share the model, steps_per_delay, derivative mode, N and d;
-    they may differ in tau, lambda, t_end and the datum, which each lane
-    samples on its own mesh. Each lane carries its own step dt and gain
-    lam*(dt*m). With m shared, a delay block is m rows in every lane, so the
-    lanes advance block by block in lockstep, each aborting on its own and
-    leaving the batch at its own horizon; lanes at tau = 0 (an ODE step, no
-    history window) run as a second batch. Trajectory i equals
-    ``run(configs[i])`` bit for bit. Only the two-agent gap models take more
-    than one lane. Callers that read only the verdicts use ``classify_lanes``,
-    which runs the same kernel without recording a trajectory.
+    The lanes share the model, steps_per_delay, N and d; they may differ in
+    tau, lambda, t_end and the datum, which each lane samples on its own mesh.
+    Each lane carries its own step dt and gain lam*(dt*m). With m shared, a
+    delay block is m rows in every lane, so the lanes advance block by block in
+    lockstep, each aborting on its own and leaving the batch at its own
+    horizon; lanes at tau = 0 (an ODE step, no history window) run as a second
+    batch. A trajectory's derivatives are the D(k) the anticipation term reads.
+    Trajectory i equals ``run(configs[i])`` bit for bit. Only the two-agent
+    gap models take more than one lane. Callers that read only the verdicts
+    use ``classify_lanes``, which runs the same kernel without recording a
+    trajectory.
     """
     configs = list(configs)
     return [_assemble(config, *lane) for config, lane in zip(configs, _integrate(configs, True))]
@@ -167,9 +159,8 @@ def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence
     """The classification and evidence of each lane of ``run_lanes(configs)``.
 
     Entry i equals ``run_lanes(configs)[i]``'s. The lanes run through the same
-    kernel, but no trajectory is built: in backward-difference mode no
-    right-hand side is computed or stored, and each lane's diameter series
-    (|x| for the gap models) goes straight to ``classify_series``. Sweeps and
+    kernel, but no trajectory is built: each lane's diameter series (|x| for
+    the gap models) goes straight to ``classify_series``. Sweeps and
     bisections read nothing else.
     """
     configs = list(configs)
@@ -182,12 +173,12 @@ def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence
 
 def _integrate(configs: list, record: bool) -> list[tuple]:
     # Per lane: its states from node 0 on ((N, d) per node, or for the gap
-    # models one scalar, |x| unless ``record``), its derivatives when
-    # ``record`` is set (else None) and its abort step (None at its horizon).
+    # models one scalar, |x| unless ``record``), its datum's slope at t = 0
+    # and its abort step (None at its horizon).
     if not configs:
         return []
-    if len({(c.model, c.steps_per_delay, c.derivative_mode, c.n, c.d) for c in configs}) > 1:
-        raise ValueError("lanes must share the model, steps_per_delay, derivative mode, n and d")
+    if len({(c.model, c.steps_per_delay, c.n, c.d) for c in configs}) > 1:
+        raise ValueError("lanes must share the model, steps_per_delay, n and d")
     if not configs[0].model.is_scalar and len(configs) != 1:
         raise ValueError("N-agent models run one lane at a time")
     lanes = [None] * len(configs)
@@ -238,15 +229,6 @@ def _run_batch(configs, record) -> list[tuple]:
     guard = guards.min()
     # lam * tau on the mesh, one gain per lane.
     gains = np.array([c.lam for c in configs]).reshape(per_lane) * (dts * m)
-    # The derivative D(k) the anticipation term reads is the datum's for
-    # k <= 0, then the recorded right-hand side or the backward difference,
-    # taken from the states where it is read. The right-hand sides are
-    # computed only when recorded or read.
-    backward = lag > 0 and config.derivative_mode is DerivativeMode.BACKWARD_DIFFERENCE
-    rhs = record or (lag > 0 and not backward)
-    derivs = np.empty_like(states) if rhs else None
-    if rhs:
-        derivs[: lag + 1] = datum_slopes
     inputs = np.empty((m,) + head[1:])
 
     # Lanes in ``live`` all stand at row ``top``; a lane that aborted stops at
@@ -266,26 +248,23 @@ def _run_batch(configs, record) -> list[tuple]:
             lo, hi = top + 1 - lag, top + 1 - lag + count
             window = states[lo - 1 : hi, cols]
             z = inputs[:count, : len(live)]
-            if backward:
-                # Rows lo..lag read the datum's (a block straddles them when a
-                # lane left at its horizon inside the first delay).
-                cut = max(lag + 1 - lo, 0)
-                if cut:
-                    z[:cut] = datum_slopes[lo:hi, cols]
-                np.subtract(window[cut + 1 :], window[cut:-1], z[cut:])
-                np.divide(z[cut:], dts[cols], z[cut:])
-                np.multiply(gains[cols], z, z)
-            else:
-                np.multiply(gains[cols], derivs[lo:hi, cols], z)
+            # z = x(k) + gain * D(k). The delayed derivative D(k) is the
+            # datum's for k <= 0, rows lo..lag (a block straddles them when a
+            # lane left at its horizon inside the first delay), then the
+            # backward difference (x(k) - x(k-1)) / dt.
+            cut = max(lag + 1 - lo, 0)
+            if cut:
+                z[:cut] = datum_slopes[lo:hi, cols]
+            np.subtract(window[cut + 1 :], window[cut:-1], z[cut:])
+            np.divide(z[cut:], dts[cols], z[cut:])
+            np.multiply(gains[cols], z, z)
             np.add(window[1:], z, z)
         rows = slice(top + 1, top + 1 + count)
         slab = states[top : rows.stop, cols]
-        block_rhs = advance(slab, z, cols, rhs)
+        advance(slab, z, cols)
         new = slab[1:]
         if not isinstance(cols, slice):
             states[rows, cols] = new  # fancy indexing computed the block in a copy
-        if rhs:
-            derivs[rows, cols] = block_rhs
         # NaN fails the comparisons, so this also catches non-finite nodes
         # (a non-finite state has a non-finite guard value). An N-agent
         # spread norm is at most 2 sqrt(d) max|x|, so a block within
@@ -313,11 +292,11 @@ def _run_batch(configs, record) -> list[tuple]:
         # A verdict reads a gap lane's |x| only: one pass over the history in
         # place, where a pass per lane would stride across it.
         np.abs(states, out=states)
-    return [(states[lag : end + 1, i], derivs[lag : end + 1, i] if record else None, abort)
+    return [(states[lag : end + 1, i], datum_slopes[lag, i], abort)
             for i, (end, abort) in enumerate(zip(tops, aborts))]
 
 
-def _assemble(config, states, derivs, abort_step,
+def _assemble(config, states, slope, abort_step,
               tol_low=TOL_LOW, tol_high=TOL_HIGH) -> Trajectory:
     count = len(states)
     times = np.arange(count) * config.mesh.step_size
@@ -327,12 +306,18 @@ def _assemble(config, states, derivs, abort_step,
         # the mean over the one agent is the gap itself (numpy's mean would
         # turn -0.0 into +0.0).
         diameters = np.abs(states)
-        states, derivs = (np.ascontiguousarray(a)[:, None, None] for a in (states, derivs))
+        states = np.ascontiguousarray(states)[:, None, None]
         means = states[:, 0]
         pairs = np.tile(np.array([1, 2]), (count, 1))
     else:
         diameters, pairs = diameter_series(states)
         means = states.mean(axis=1)
+    # D(k) as the kernel read it: the datum's slope at node 0, then the
+    # backward difference, in the same operations, so bit for bit.
+    derivs = np.empty_like(states)
+    derivs[0] = slope
+    np.subtract(states[1:], states[:-1], derivs[1:])
+    np.divide(derivs[1:], config.mesh.step_size, derivs[1:])
     classification, evidence = classify_series(
         diameters, aborted=abort_step is not None, abort_step=abort_step,
         tol_low=tol_low, tol_high=tol_high, mesh=config.mesh,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,12 +32,19 @@ TOOL_VERSION = "0.1.0"
 # ---------------------------------------------------------------------------
 # weights and datum JSON schemas: the readers check the JSON's structure, and
 # WeightSpec and SimConfig judge the values, which pass through unconverted
-# (a config's n and d are judged first, by SimConfig's rule).
+# (a config's n and d are judged first, by SimConfig's rule). A key a reader
+# does not read is rejected, never silently dropped.
 
 
-def _object(name: str, payload) -> dict:
+def _object(name: str, payload, keys=None) -> dict:
+    """``payload``, which must be a JSON object holding no key outside ``keys``
+    (any key when ``keys`` is None)."""
     if not isinstance(payload, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ValueError(f"unknown {name} key{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))}")
     return payload
 
 
@@ -64,9 +72,10 @@ def weights_from_dict(payload, n: int = 2) -> WeightMatrix:
     whose n defaults to ``n``."""
     if isinstance(payload, list):
         return WeightMatrix(_numbers("weights", payload))
-    payload = _object("weights", payload)
-    if "matrix" in payload:
+    if isinstance(payload, dict) and "matrix" in payload:
+        _object("weights", payload, ("matrix",))
         return WeightMatrix(_numbers("weights 'matrix'", payload["matrix"]))
+    payload = _object("weights", payload, ("kind", "n", "min_off_diagonal", "seed"))
     given = {key: payload[key] for key in ("n", "min_off_diagonal", "seed") if key in payload}
     return WeightSpec(kind=_key("weights", payload, "kind"), **{"n": n, **given}).build()
 
@@ -87,23 +96,26 @@ def datum_to_dict(datum: Datum) -> dict:
     raise TypeError(f"unknown datum type: {type(datum)!r}")
 
 
+#: Each datum kind's class and the keys of its arrays, in the class's argument order.
+_DATUM_KINDS = {"constant": (ConstantDatum, ("values",)),
+                "linear": (LinearDatum, ("start", "slope")),
+                "table": (SampledDatum, ("times", "states", "derivatives"))}
+
+
 def datum_from_dict(payload, n: int, d: int) -> Datum:
     """The datum of a JSON object, in which a scalar array fills n x d."""
     payload = _object("datum", payload)
+    kind = _key("datum", payload, "kind")
+    if not isinstance(kind, str) or kind not in _DATUM_KINDS:
+        raise ValueError(f"unknown datum kind: {kind!r}")
+    cls, keys = _DATUM_KINDS[kind]
+    _object("datum", payload, ("kind", *keys))
 
     def array(key: str) -> np.ndarray:
         values = _numbers(f"datum {key!r}", _key("datum", payload, key))
         return np.full((n, d), float(values)) if values.ndim == 0 else values
 
-    kind = _key("datum", payload, "kind")
-    if kind == "constant":
-        return ConstantDatum(array("values"))
-    if kind == "linear":
-        return LinearDatum(array("start"), array("slope"))
-    if kind == "table":
-        return SampledDatum(times=array("times"), states=array("states"),
-                            derivs=array("derivatives"))
-    raise ValueError(f"unknown datum kind: {kind!r}")
+    return cls(*map(array, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +132,6 @@ def config_to_dict(config: SimConfig) -> dict:
         "steps_per_delay": config.steps_per_delay,
         "t_end": config.t_end,
         "seed": config.seed,
-        "derivative_mode": config.derivative_mode.value,
         "weights": weights_to_dict(config.weights) if config.weights is not None else None,
         "datum": datum_to_dict(config.datum),
     }
@@ -129,8 +140,10 @@ def config_to_dict(config: SimConfig) -> dict:
 def config_from_dict(payload) -> SimConfig:
     """The SimConfig of a JSON object with a "model" and a "tau". Defaults: n = 1
     for the gap models, else 2 with uniform weights, a constant datum 1, and
-    SimConfig's own; a null "t_end" or "weights" is the default."""
-    payload = _object("config", payload)
+    SimConfig's own; a null "t_end" or "weights" is the default. Any other key
+    is rejected."""
+    payload = _object("config", payload, ("model", "n", "d", "tau", "lambda", "steps_per_delay",
+                                          "t_end", "seed", "weights", "datum"))
     model = ModelKind(_key("config", payload, "model"))
     # n and d are judged first: the weight spec and the datum's scalars fill them.
     n, d = agent_counts(payload.get("n", 1 if model.is_scalar else 2), payload.get("d", 1))
@@ -140,8 +153,7 @@ def config_from_dict(payload) -> SimConfig:
         weights = weights_from_dict(weights, 2 if model.is_scalar else n)
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
-    given = {key: payload[key] for key in ("steps_per_delay", "t_end",
-                                           "derivative_mode", "seed") if key in payload}
+    given = {key: payload[key] for key in ("steps_per_delay", "t_end", "seed") if key in payload}
     datum = datum_from_dict(payload.get("datum", {"kind": "constant", "values": 1.0}), n, d)
     return SimConfig(model=model, tau=_key("config", payload, "tau"),
                      lam=payload.get("lambda", 0.0), datum=datum, n=n, d=d, weights=weights,
@@ -260,12 +272,28 @@ def write_grid_csv(grid: StabilityGrid, path) -> None:
                 zip(*(np.ravel(c).tolist() for c in columns)))
 
 
+def _write_json(payload, path, **options) -> None:
+    """Write ``payload`` as strict JSON, every non-finite float as null."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(item) for item in value]
+        return value
+
+    with open(path, "w") as fh:
+        json.dump(finite(payload), fh, allow_nan=False, **options)
+
+
 def write_grid_json(grid: StabilityGrid, path) -> None:
     payload = {
         "lambda": [float(v) for v in grid.lam_values],
         "tau": [float(v) for v in grid.tau_values],
         "raster": [[str(c) for c in row] for row in grid.raster],
-        "boundary": [None if np.isnan(v) else float(v) for v in grid.boundary],
+        "boundary": grid.boundary.tolist(),
         "overlays": [
             {"label": c.label,
              "lambda": [float(v) for v in c.lam],
@@ -273,8 +301,7 @@ def write_grid_json(grid: StabilityGrid, path) -> None:
             for c in grid.overlays
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(payload, path, indent=2)
 
 
 def write_lyapunov_csv(series: LyapunovSeries, path) -> None:
@@ -312,8 +339,7 @@ class RunManifest:
 
 def write_manifest(manifest: RunManifest, path) -> None:
     payload = {**asdict(manifest), "outputs": [str(p) for p in manifest.outputs]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(payload, path, indent=2, sort_keys=True)
 
 
 def read_manifest(path) -> RunManifest:

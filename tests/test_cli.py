@@ -208,6 +208,12 @@ GAP_CONFIG = {"model": "two-agent-transmission", "tau": 0.25, "t_end": 1.0}
     ([], [GAP_CONFIG], "config must be a JSON object, got list"),
     ([], {**GAP_CONFIG, "datum": {"values": 1.0}}, "datum needs a 'kind'"),
     ([], {**GAP_CONFIG, "t_end": "8"}, "t_end must be a real number, got '8'"),
+    # Keys no reader reads: a misspelt lambda used to run at lambda = 0.
+    ([], {**GAP_CONFIG, "lamda": 2}, "unknown config key 'lamda'"),
+    ([], {**GAP_CONFIG, "derivative_mode": "stored-rhs", "extra": 1},
+     "unknown config keys 'derivative_mode', 'extra'"),
+    ([], {**GAP_CONFIG, "datum": {"kind": "constant", "values": 1, "slope": 2}},
+     "unknown datum key 'slope'"),
     (["--model", "two-agent-reaction", "--tau", "0.25", "--n", "3"], None,
      "two-agent-reaction takes n = d = 1 and no weights"),
     (["--model", "two-agent-reaction", "--tau", "0.25", "--weights", "uniform"], None,
@@ -232,6 +238,35 @@ def test_run_rejects_invalid_input(tmp_path, capsys, flags, config, message):
     assert not out.exists()
 
 
+def test_run_rejects_the_retired_derivative_mode_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--model", "two-agent-transmission", "--tau", "0.25",
+              "--derivative-mode", "stored-rhs", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--derivative-mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_outputs_are_strict_json(tmp_path):
+    # A zero datum's trailing ratio is NaN, and the lambda = 0 overlay of a
+    # transmission sweep has an infinite tau: both are written as null.
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "--model", "two-agent-reaction", "--tau", "0.2", "--t-end", "5",
+                 "--datum", "constant:0", "--out", str(run_out)]) == 0
+    assert main(["sweep", "--model", "two-agent-transmission", "--lambda-range", "0:2:3",
+                 "--tau-range", "0.1:0.5:2", "--t-end", "5", "--out", str(sweep_out)]) == 0
+    manifest = json.loads((run_out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["summary"]["trailing_ratio"] is None
+    grid = json.loads((sweep_out / "grid.json").read_text(), parse_constant=_reject_constant)
+    assert None in [tau for overlay in grid["overlays"] for tau in overlay["tau"]]
+
+
 @pytest.mark.parametrize("kind", ["uniform", "random-row", "random-sym"])
 def test_validate_weights_rejects_negative_seed(capsys, kind):
     # Uniform weights used to pass, and random-row to fail in numpy's words.
@@ -246,6 +281,7 @@ NOT_NUMBERS = "weights 'matrix' must be a number or a rectangular array of numbe
     ({"matrix": [[0.0, "1"], [1.0, 0.0]]}, NOT_NUMBERS),
     ({"matrix": [[0.0, 1.0], [1.0]]}, NOT_NUMBERS),
     ({"n": 3}, "weights needs a 'kind'"),
+    ({"kind": "uniform", "seeed": 3}, "unknown weights key 'seeed'"),
     ("uniform", "weights must be a JSON object, got str"),
 ])
 def test_validate_weights_rejects_malformed_json(tmp_path, capsys, payload, message):

@@ -29,9 +29,10 @@ BAD = {
     "--lambda-range": ["0:1:0", "0:1:2.5", "0:1", "a:1:3", "nan:1:2", "0:1e308:3"],
     "--tau-range": ["0:inf:2", "-1:0:2"],
 }
-# JSON values of the wrong type, and a key left out.
+# JSON values of the wrong type, and a key left out; keys that no reader reads.
 MISSING = object()
 BAD_JSON = [None, [1], "8", MISSING]
+EXTRA_KEYS = ["derivative_mode", "seeed", "slope"]
 GAP_CONFIG = {"model": "two-agent-transmission", "tau": 0.25, "t_end": 0.5,
               "steps_per_delay": 2, "datum": {"kind": "constant", "values": 1.0}}
 WEIGHTS = {"kind": "random-row-stochastic", "n": 3, "seed": 1}
@@ -49,14 +50,12 @@ RUN_FLAGS = {
     "--weights": WEIGHT_NAMES,
     "--min-off-diagonal": ["0.3"],
     "--datum": ["constant:2", "linear:0,1", "file:datum.json"],
-    "--derivative-mode": ["stored-rhs"],
 }
 # A config file's keys count where no flag overrides them.
 CONFIG_RUN_FLAGS = {
     "--config": ["config.json"],
     "--lambda": ["1"],
     "--seed": ["3"],
-    "--derivative-mode": ["stored-rhs"],
 }
 SWEEP_FLAGS = {
     "--model": ["two-agent-reaction", "two-agent-transmission"],
@@ -98,10 +97,13 @@ def _argv(command: str, flags: dict, always=()):
 
 
 def _broken(payload: dict):
-    # ``payload`` with one key set to a wrongly typed value or left out.
-    return st.tuples(st.sampled_from(sorted(payload)), st.sampled_from(BAD_JSON)).map(
-        lambda pair: {key: value for key, value in {**payload, pair[0]: pair[1]}.items()
-                      if value is not MISSING})
+    # ``payload`` with one key set to a wrongly typed value or left out, or
+    # with an extra key.
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(payload)), st.sampled_from(BAD_JSON)).map(
+            lambda pair: {key: value for key, value in {**payload, pair[0]: pair[1]}.items()
+                          if value is not MISSING}),
+        st.sampled_from(EXTRA_KEYS).map(lambda key: {**payload, key: 1}))
 
 
 # Horizons are always given, and the theorem suites' size: their defaults are

@@ -228,19 +228,6 @@ class TestLyapTransmission:
             bound = -coeff * traj.diameters[node + 1] ** 2 * dt
             assert series.bounds[node - start] == pytest.approx(bound, rel=1e-12, abs=1e-300)
 
-    def test_stored_rhs_mode_also_dissipates(self):
-        from nddc.core import DerivativeMode
-
-        rng = np.random.default_rng(27)
-        values = rng.uniform(-1, 1, size=(3, 1))
-        wm = make_random_row_stochastic(3, 0.2, seed=27)
-        cfg = SimConfig(model=ModelKind.TRANSMISSION, tau=0.2, lam=1.0,
-                        datum=ConstantDatum(values), n=3, d=1, steps_per_delay=32,
-                        t_end=20.0, weights=wm,
-                        derivative_mode=DerivativeMode.STORED_RHS)
-        series = lyap_transmission(run(cfg))
-        assert series.violations == 0
-
 
 class TestLyapReaction:
     def _reaction_run(self, values, tau=0.2, lam=0.1, m=32, t_end=20.0, seed=6):

@@ -10,7 +10,6 @@ from nddc.core import (
     DIVERGENCE_GUARD,
     Classification,
     ConstantDatum,
-    DerivativeMode,
     LinearDatum,
     MeshAlignmentError,
     ModelKind,
@@ -29,12 +28,11 @@ GAP_AT_T1_REFERENCE = 0.053967995447
 
 
 def _gap_config(model=ModelKind.TWO_AGENT_TRANSMISSION, tau=0.25, lam=0.0,
-                m=32, t_end=5.0, value=1.0, mode=DerivativeMode.BACKWARD_DIFFERENCE,
-                datum=None):
+                m=32, t_end=5.0, value=1.0, datum=None):
     if datum is None:
         datum = ConstantDatum([[value]])
     return SimConfig(model=model, tau=tau, lam=lam, datum=datum,
-                     n=1, d=1, steps_per_delay=m, t_end=t_end, derivative_mode=mode)
+                     n=1, d=1, steps_per_delay=m, t_end=t_end)
 
 
 class TestMesh:
@@ -80,8 +78,13 @@ class TestInitHistory:
                              steps_per_delay=4, t_end=0.4, weights=wm))
         assert np.all(traj.states[0] == [[1.0], [3.0]])
         assert np.all(traj.derivatives[0] == 0.0)
-        expected = [[wm.weights[0, 1] * 2.0], [wm.weights[1, 0] * -2.0]]
-        assert np.all(traj.derivatives[1:] == expected)
+        # Then the backward difference, bit for bit, which for this scheme is
+        # the right-hand side sum_j w_ij (x0_j - x0_i) up to rounding.
+        dt = traj.config.mesh.step_size
+        assert np.array_equal(traj.derivatives[1:], (traj.states[1:] - traj.states[:-1]) / dt)
+        expected = np.broadcast_to([[wm.weights[0, 1] * 2.0], [wm.weights[1, 0] * -2.0]],
+                                   traj.derivatives[1:].shape)
+        np.testing.assert_allclose(traj.derivatives[1:], expected, rtol=1e-12)
 
     def test_linear_datum(self):
         # Nodes -1 and 0 of x0(t) = t with slope 1 enter the first two steps:
@@ -174,15 +177,26 @@ class TestRun:
         np.testing.assert_allclose(moved.states, plain.states + shift, atol=1e-10)
         np.testing.assert_allclose(moved.diameters, plain.diameters, atol=1e-10)
 
-    def test_derivative_modes_agree(self):
-        # The recorded right-hand side equals the backward difference for this
-        # scheme, so the two modes cross-validate each other.
-        for model in (ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TWO_AGENT_REACTION):
-            a = run(_gap_config(model=model, tau=0.3, lam=1.2, m=16, t_end=6.0,
-                                mode=DerivativeMode.BACKWARD_DIFFERENCE))
-            b = run(_gap_config(model=model, tau=0.3, lam=1.2, m=16, t_end=6.0,
-                                mode=DerivativeMode.STORED_RHS))
-            np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-9)
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 3.0])
+    @pytest.mark.parametrize("model", [ModelKind.TWO_AGENT_REACTION,
+                                       ModelKind.TWO_AGENT_TRANSMISSION])
+    def test_recorded_derivatives_are_the_ones_read(self, model, lam):
+        # Past the first delay every step reads the anticipated input
+        # z = x(k) + lam*(dt*m)*D(k), k = n+1-m, with D(k) the recorded
+        # derivative, in the scheme's own operations.
+        m = 8
+        traj = run(_gap_config(model=model, tau=0.4, lam=lam, m=m, t_end=8.0,
+                               datum=LinearDatum([[1.0]], [[-0.6]])))
+        x, derivs = traj.states[:, 0, 0], traj.derivatives[:, 0, 0]
+        dt = traj.config.mesh.step_size
+        assert traj.n_steps > 4 * m  # lambda = 3 diverges, but only after many delays
+        for n in range(m, traj.n_steps):
+            k = n + 1 - m
+            z = x[k] + lam * (dt * m) * derivs[k]
+            if model is ModelKind.TWO_AGENT_REACTION:
+                assert x[n + 1] == x[n] + (-2.0 * dt) * z
+            else:
+                assert x[n + 1] == (x[n] - dt * z) / (1.0 + dt)
 
     def test_divergence_guard_aborts(self):
         traj = run(_gap_config(tau=0.25, lam=8.0, m=32, t_end=200.0))

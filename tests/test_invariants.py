@@ -12,8 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nddc.core import (ConstantDatum, DerivativeMode, LinearDatum, ModelKind, SimConfig,
-                       WeightMatrix)
+from nddc.core import ConstantDatum, LinearDatum, ModelKind, SimConfig, WeightMatrix
 from nddc.integrator import run
 from nddc.weights import (
     make_random_row_stochastic,
@@ -35,8 +34,7 @@ def meshes(draw, tau_max=1.0):
     m = draw(st.sampled_from([1, 2, 5, 16]))
     steps = draw(st.integers(1, 10 * m + 3))
     return dict(tau=tau, steps_per_delay=m,
-                t_end=steps * (tau / m if tau > 0 else 1.0 / m),
-                derivative_mode=draw(st.sampled_from(list(DerivativeMode))))
+                t_end=steps * (tau / m if tau > 0 else 1.0 / m))
 
 
 @st.composite
@@ -105,7 +103,7 @@ def test_relabelling_agents_relabels_the_result(config, random):
         model=config.model, tau=config.tau, lam=config.lam, n=config.n, d=config.d,
         datum=LinearDatum(config.datum.start[order], config.datum.slope[order]),
         weights=WeightMatrix(w[order][:, order]), steps_per_delay=config.steps_per_delay,
-        t_end=config.t_end, derivative_mode=config.derivative_mode,
+        t_end=config.t_end,
     )
     traj, other = run(config), run(relabelled)
     assert other.evidence.abort_step == traj.evidence.abort_step

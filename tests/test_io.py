@@ -110,6 +110,14 @@ class TestWeightsJson:
         assert np.array_equal(whole.weights, weights_from_dict(
             {**payload, key: int(value)}).weights)
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"kind": "uniform", "seeed": 3}, "seeed"),
+        ({"matrix": [[0.0, 1.0], [1.0, 0.0]], "n": 2}, "n"),
+    ])
+    def test_unknown_key_rejected(self, payload, key):
+        with pytest.raises(ValueError, match=f"^unknown weights key '{key}'$"):
+            weights_from_dict(payload)
+
 
 class TestDatumJson:
     def test_round_trips(self):
@@ -122,6 +130,16 @@ class TestDatumJson:
             payload = datum_to_dict(datum)
             rebuilt = datum_from_dict(payload, n=2, d=1)
             assert type(rebuilt) is type(datum)
+
+    @pytest.mark.parametrize("payload,key", [
+        ({"kind": "constant", "values": 1, "slope": 2}, "slope"),
+        ({"kind": "linear", "start": 0, "slope": 1, "values": 1}, "values"),
+        ({"kind": "table", "times": [0.0], "states": [[[0.0]]], "derivatives": [[[0.0]]],
+          "derivs": [[[0.0]]]}, "derivs"),
+    ])
+    def test_unknown_key_rejected(self, payload, key):
+        with pytest.raises(ValueError, match=f"^unknown datum key '{key}'$"):
+            datum_from_dict(payload, n=1, d=1)
 
     def test_scalar_constant_broadcasts(self):
         datum = datum_from_dict({"kind": "constant", "values": 2.0}, n=3, d=2)
@@ -144,6 +162,16 @@ class TestParseConfig:
                                     "tau": 0.25, "lambda": 1.0}))
         cfg = parse_config(path, {"lambda": 4.0})
         assert cfg.lam == 4.0
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        # A misspelt key used to be dropped: "lamda" ran at lambda = 0.
+        payload = {"model": "two-agent-reaction", "tau": 0.3, "lamda": 2}
+        with pytest.raises(ValueError, match="^unknown config key 'lamda'$"):
+            config_from_dict(payload)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**payload, "lambda": 2, "derivative_mode": "stored-rhs"}))
+        with pytest.raises(ValueError, match="^unknown config keys 'derivative_mode', 'lamda'$"):
+            parse_config(path)
 
     def test_misaligned_t_end_rejected(self):
         with pytest.raises(MeshAlignmentError):
@@ -243,6 +271,19 @@ class TestManifest:
         write_trajectory_csv(replay, second)
         assert first.read_bytes() == second.read_bytes()
         assert loaded.classification == traj.classification.value
+
+    def test_non_finite_values_are_null(self, tmp_path):
+        cfg, _ = _small_run()
+        manifest = RunManifest(config=config_to_dict(cfg), summary={
+            "ratio": float("nan"), "peak": np.float64("inf"), "series": [1.0, -np.inf]})
+        path = tmp_path / "manifest.json"
+        write_manifest(manifest, path)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["summary"] == {"ratio": None, "peak": None, "series": [1.0, None]}
 
 
 class TestGridSerialization:

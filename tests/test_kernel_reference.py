@@ -2,9 +2,11 @@
 
 The reference advances one node at a time over the full history, evaluating
 every update in the same floating-point order as the scheme's definition:
-the anticipation gain is lam * (dt * m), the transmission step is
-x + dt/(1+dt) * sum_j w_ij (y_j - x_i), and the transmission gap step is
-(x - dt*y) / (1 + dt). run() must reproduce it bit for bit.
+the anticipation gain is lam * (dt * m), the delayed derivative is the
+datum's up to node 0 and the backward difference (x(k) - x(k-1)) / dt after
+it, the transmission step is x + dt/(1+dt) * sum_j w_ij (y_j - x_i), and the
+transmission gap step is (x - dt*y) / (1 + dt). run() must reproduce it,
+recorded derivatives included, bit for bit.
 """
 
 import numpy as np
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 
 from nddc.core import (
     DIVERGENCE_GUARD,
-    DerivativeMode,
     LinearDatum,
     ModelKind,
     SimConfig,
@@ -50,34 +51,25 @@ def reference_run(config):
         x = states[-1]
         if config.tau == 0 and model.is_scalar:
             new = x * (1.0 / (1.0 + 2.0 * dt))
-            rhs = -2.0 * new
         elif config.tau == 0:
             new = x + dt * (propagate @ pairwise(x, x))
-            rhs = pairwise(new, new)
         else:
+            # D(k): the datum's slope for k <= 0, then the recorded backward difference.
             k = n + 1 - m
-            if k <= 0 or config.derivative_mode is DerivativeMode.STORED_RHS:
-                slope = derivs[k + lag]
-            else:
-                slope = (states[k + lag] - states[k + lag - 1]) / dt
-            y = states[k + lag] + (config.lam * (dt * m)) * slope
+            y = states[k + lag] + (config.lam * (dt * m)) * derivs[k + lag]
             if model is ModelKind.TRANSMISSION:
                 new = x + dt / (1.0 + dt) * pairwise(y, x)
-                rhs = pairwise(y, new)
             elif model is ModelKind.REACTION:
-                rhs = pairwise(y, y)
-                new = x + dt * rhs
+                new = x + dt * pairwise(y, y)
             elif model is ModelKind.TWO_AGENT_TRANSMISSION:
                 new = (x - dt * y) / (1.0 + dt)
-                rhs = -y - new
             else:
                 new = x - 2.0 * dt * y
-                rhs = -2.0 * y
         if not np.all(np.isfinite(new)):
             abort_step = n + 1
             break
         states.append(new)
-        derivs.append(rhs)
+        derivs.append((new - x) / dt)
         spread = new.max(axis=0) - new.min(axis=0)
         size = abs(float(new[0, 0])) if model.is_scalar else float(np.sqrt(np.dot(spread, spread)))
         if size > guard:
@@ -114,7 +106,7 @@ def configs(draw):
         datum=LinearDatum(start_scale * rng.uniform(-1, 1, (n, d)),
                           slope_scale * rng.uniform(-1, 1, (n, d))),
         steps_per_delay=m, t_end=steps * (tau / m if tau > 0 else 1.0 / m),
-        weights=weights, derivative_mode=draw(st.sampled_from(list(DerivativeMode))),
+        weights=weights,
     )
 
 

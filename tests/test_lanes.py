@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nddc.core import (
     Classification,
     ConstantDatum,
-    DerivativeMode,
     LinearDatum,
     ModelKind,
     SampledDatum,
@@ -57,7 +56,6 @@ def lane_batches(draw):
     config = SimConfig(
         model=model, tau=tau, lam=0.0, datum=LinearDatum([[start]], [[slope]]),
         n=1, d=1, steps_per_delay=m, t_end=steps * (tau / m if tau > 0 else 1.0 / m),
-        derivative_mode=draw(st.sampled_from(list(DerivativeMode))),
     )
     return config, lams
 
@@ -78,13 +76,12 @@ def test_lanes_match_single_runs(batch):
 
 @st.composite
 def mixed_lanes(draw):
-    # Lanes share the model, m and derivative mode and differ in tau, lambda
+    # Lanes share the model and m and differ in tau, lambda
     # and the horizon, so they end at different rows; large gains abort inside
     # a block while other lanes run on. Some batches also differ in the datum,
     # and with it in the divergence guard.
     model = draw(st.sampled_from(GAP_MODELS))
     m = draw(st.sampled_from([1, 2, 5, 16, 32]))
-    mode = draw(st.sampled_from(list(DerivativeMode)))
     datums = st.builds(lambda start, slope: LinearDatum([[start]], [[slope]]),
                        st.sampled_from([1.0, -3.0, 1e300]),
                        st.sampled_from([0.0, 0.7, -1e8, 1e308]))
@@ -99,17 +96,16 @@ def mixed_lanes(draw):
         configs.append(SimConfig(
             model=model, tau=tau, datum=datum, n=1, d=1, steps_per_delay=m,
             lam=draw(st.one_of(st.floats(0.0, 0.5), st.floats(2.0, 60.0))),
-            t_end=steps * (tau / m if tau > 0 else 1.0 / m), derivative_mode=mode,
+            t_end=steps * (tau / m if tau > 0 else 1.0 / m),
         ))
     return configs
 
 
 def straddling_lanes(model, tau, m, lam_steps):
     # Lanes of one tau whose shortest horizon ends inside the first delay, so
-    # the next block reads, in backward-difference mode, the datum's
-    # derivative for its first rows and backward differences after them. The
-    # datum's derivative, 1, is not the difference of its states, 0, so a row
-    # read the wrong way shows.
+    # the next block reads the datum's derivative for its first rows and
+    # backward differences after them. The datum's derivative, 1, is not the
+    # difference of its states, 0, so a row read the wrong way shows.
     ones = np.ones((m + 1, 1, 1))
     datum = SampledDatum(np.arange(-m, 1) * (tau / m), ones, ones)
     return [SimConfig(model=model, tau=tau, lam=lam, datum=datum, n=1, d=1,
@@ -146,7 +142,6 @@ def matrix_lane(draw):
         datum=LinearDatum(values, draw(st.sampled_from([0.0, 0.7, -1.0])) * values[::-1]),
         n=n, d=d, steps_per_delay=m, weights=make_uniform(n),
         t_end=draw(st.integers(1, 24 * m + 3)) * (tau / m if tau > 0 else 1.0 / m),
-        derivative_mode=draw(st.sampled_from(list(DerivativeMode))),
     )]
 
 
@@ -196,9 +191,8 @@ def test_fig3_row_freezes_its_aborted_lanes():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("mode", list(DerivativeMode))
 @pytest.mark.parametrize("model", GAP_MODELS)
-def test_many_lanes_trip_in_one_block(model, mode):
+def test_many_lanes_trip_in_one_block(model):
     # 31 lanes on one horizon under three datums, so three guards. Lane 3's
     # datum overflows at the first node; lanes 5 and 9 cross their guard at
     # the last node of the first block (one in each model), and the others
@@ -206,7 +200,7 @@ def test_many_lanes_trip_in_one_block(model, mode):
     # the batch.
     m = 4
     base = SimConfig(model=model, tau=0.5, lam=0.0, datum=ConstantDatum([[1.0]]), n=1, d=1,
-                     steps_per_delay=m, t_end=20.0, derivative_mode=mode)
+                     steps_per_delay=m, t_end=20.0)
     datums = [ConstantDatum([[1.0]]), LinearDatum([[-3.0]], [[2.0]]),
               LinearDatum([[0.5]], [[-0.7]])]
     configs = [replace(base, lam=float(lam), datum=datums[i % 3])
@@ -249,8 +243,7 @@ def test_lanes_must_share_model_and_steps():
     config = SimConfig(model=ModelKind.TWO_AGENT_REACTION, tau=0.2, lam=0.0,
                        datum=ConstantDatum([[1.0]]), n=1, d=1, steps_per_delay=4, t_end=2.0)
     for other in (replace(config, steps_per_delay=8),
-                  replace(config, model="two-agent-transmission"),
-                  replace(config, derivative_mode=DerivativeMode.STORED_RHS)):
+                  replace(config, model="two-agent-transmission")):
         with pytest.raises(ValueError, match="lanes must share"):
             run_lanes([config, other])
         with pytest.raises(ValueError, match="lanes must share"):

@@ -8,7 +8,6 @@ import pytest
 from nddc.core import (
     Classification,
     ConstantDatum,
-    DerivativeMode,
     MeshAlignmentError,
     ModelKind,
     SampledDatum,
@@ -77,18 +76,17 @@ class TestGapEquivalence:
             (ModelKind.TWO_AGENT_REACTION, ModelKind.REACTION),
         ],
     )
-    @pytest.mark.parametrize("mode", list(DerivativeMode))
-    def test_gap_matches_two_agent_run(self, scalar_model, matrix_model, mode):
+    def test_gap_matches_two_agent_run(self, scalar_model, matrix_model):
         from nddc.weights import make_uniform
 
         tau, lam, m, t_end = 0.3, 0.8, 16, 6.0
         scalar_cfg = SimConfig(model=scalar_model, tau=tau, lam=lam,
                                datum=ConstantDatum([[1.0]]), n=1, d=1,
-                               steps_per_delay=m, t_end=t_end, derivative_mode=mode)
+                               steps_per_delay=m, t_end=t_end)
         matrix_cfg = SimConfig(model=matrix_model, tau=tau, lam=lam,
                                datum=ConstantDatum([[1.0], [0.0]]), n=2, d=1,
                                steps_per_delay=m, t_end=t_end,
-                               weights=make_uniform(2), derivative_mode=mode)
+                               weights=make_uniform(2))
         scalar = run(scalar_cfg)
         matrix = run(matrix_cfg)
         gap = matrix.states[:, 0, 0] - matrix.states[:, 1, 0]
