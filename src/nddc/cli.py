@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +198,9 @@ def _cmd_validate_weights(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"invalid weights: {exc}", file=sys.stderr)
         return 1
-    for flag in ("row_stochastic", "symmetric", "bi_stochastic",
-                 "positive_off_diagonal", "irreducible"):
-        print(f"{flag}: {getattr(wm, flag)}")
+    for flag in fields(wm):
+        if not flag.init:
+            print(f"{flag.name}: {getattr(wm, flag.name)}")
     return 0
 
 
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="replay a reference experiment")
-    p_fig.add_argument("name", choices=["fig1", "fig2", "fig3", "fig4"])
+    p_fig.add_argument("name", choices=presets.FIGURE_NAMES)
     p_fig.add_argument("--out", type=Path, default=Path("nddc-out"))
     p_fig.set_defaults(func=_cmd_figure)
 

@@ -171,13 +171,13 @@ class SampledDatum:
 
     times: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
+    derivatives: np.ndarray
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        self.derivs = np.asarray(self.derivs, dtype=float)
-        if self.states.shape != self.derivs.shape or len(self.times) != len(self.states):
+        self.derivatives = np.asarray(self.derivatives, dtype=float)
+        if self.states.shape != self.derivatives.shape or len(self.times) != len(self.states):
             raise ValueError("sampled datum arrays are inconsistent")
 
     def on_mesh(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +189,7 @@ class SampledDatum:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(times))) if len(times) else 1.0)
         if np.max(np.abs(self.times - times)) > tol:
             raise MeshAlignmentError("datum table is not aligned with the mesh")
-        return self.states.copy(), self.derivs.copy()
+        return self.states.copy(), self.derivatives.copy()
 
 
 Datum = Union[ConstantDatum, LinearDatum, SampledDatum]
@@ -295,8 +295,10 @@ class SimConfig:
 
     Frozen: vary a built config with ``dataclasses.replace``, which judges the
     result anew. A t_end of None is ``default_horizon(tau)`` rounded up to the
-    mesh, and ``mesh``, not a field, is the config's ``Mesh``. The seed is only a
-    manifest label, so any integer is kept. The run checks the datum it samples.
+    mesh. Two attributes are not fields: ``mesh``, the config's ``Mesh``, and
+    ``history``, the datum's (states, slopes) on the mesh's [-tau, 0], which
+    must be finite and (N, d) per node. The seed is only a manifest label, so
+    any integer is kept.
     """
 
     model: ModelKind
@@ -328,16 +330,21 @@ class SimConfig:
         # Not a field, so ``replace`` builds a new one and ``==`` ignores it.
         put("mesh", Mesh.build(self.tau, self.steps_per_delay, self.t_end))
         if self.model.is_scalar:
-            if (self.n, self.d) != (1, 1) or self.weights is not None:
+            if (n, d) != (1, 1) or self.weights is not None:
                 raise ValueError(f"{self.model.value} takes n = d = 1 and no weights")
-            return
-        if not isinstance(self.weights, WeightMatrix):
+        elif not isinstance(self.weights, WeightMatrix):
             raise ValueError(f"the {self.model.value} model needs a weight matrix, "
                              f"got {type(self.weights).__name__}")
-        if self.weights.n != self.n:
-            raise ValueError(f"weight matrix size {self.weights.n} does not match n = {self.n}")
-        if self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:
+        elif self.weights.n != n:
+            raise ValueError(f"weight matrix size {self.weights.n} does not match n = {n}")
+        elif self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:
             raise ValueError("the transmission model needs off-diagonal row sums of 1")
+        put("history", self.datum.on_mesh(self.mesh.datum_times))
+        states, slopes = self.history
+        if states.shape[1:] != (n, d):
+            raise ValueError(f"datum shape {states.shape[1:]} does not match {(n, d)}")
+        if not (np.isfinite(states).all() and np.isfinite(slopes).all()):
+            raise NonFiniteStateError("initial datum contains non-finite entries")
 
 
 @dataclass

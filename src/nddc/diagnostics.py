@@ -125,7 +125,6 @@ class IJReport:
     final_pair: tuple[int, int]
     stabilization_time: Optional[float]
     last_change_time: float
-    change_fraction: float
 
 
 def track_ij(traj: Trajectory) -> IJReport:
@@ -147,13 +146,11 @@ def track_ij(traj: Trajectory) -> IJReport:
     stabilization: Optional[float] = last_change_time
     if len(change_indices) and last_change >= 0.75 * (count - 1):
         stabilization = None
-    fraction = float(len(change_indices)) / max(1, count - 1)
     return IJReport(
         pairs=pairs,
         final_pair=(int(pairs[-1, 0]), int(pairs[-1, 1])),
         stabilization_time=stabilization,
         last_change_time=last_change_time,
-        change_fraction=fraction,
     )
 
 
@@ -353,7 +350,7 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("a-priori bounds need lam*tau <= 1")
     lt = cfg.lam * cfg.tau
-    d_states, d_derivs = cfg.datum.on_mesh(cfg.mesh.datum_times)
+    d_states, d_derivs = cfg.history
     big_m = max(
         float(np.linalg.norm(d_states, axis=2).max()),
         float(np.linalg.norm(d_derivs, axis=2).max()),

@@ -20,17 +20,17 @@ MEAN_DRIFT_THRESHOLD = 1e-10
 
 @dataclass
 class TheoremRun:
-    """One random instance of a theorem suite together with its run."""
+    """One random instance of a theorem suite: its config and its run."""
 
     theorem: str
-    seed: int
-    n: int
-    d: int
-    tau: float
-    lam: float
+    config: SimConfig
     trajectory: Trajectory
     decay_ratio: float
     mean_drift: float
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     @property
     def passed(self) -> bool:
@@ -86,27 +86,18 @@ def reaction_instance(seed: int, t_end: float = 100.0) -> SimConfig:
                      make_random_symmetric_bistochastic)
 
 
-def _evaluate(theorem: str, config: SimConfig, seed: int) -> TheoremRun:
+def _evaluate(theorem: str, config: SimConfig) -> TheoremRun:
     traj = run(config)
     decay = traj.diameters[-1] / traj.diameters[0]
     drift = float(np.linalg.norm(traj.means - traj.means[0], axis=1).max())
-    return TheoremRun(
-        theorem=theorem,
-        seed=seed,
-        n=config.n,
-        d=config.d,
-        tau=config.tau,
-        lam=config.lam,
-        trajectory=traj,
-        decay_ratio=float(decay),
-        mean_drift=drift,
-    )
+    return TheoremRun(theorem=theorem, config=config, trajectory=traj,
+                      decay_ratio=float(decay), mean_drift=drift)
 
 
 def _suite(theorem: str, make, count: int, base_seed: int, t_end: float) -> Iterator[TheoremRun]:
     # ``count`` is checked here, when the suite is asked for, not at its first instance.
     count = integer("instance count", count, minimum=1)
-    return (_evaluate(theorem, make(base_seed + k, t_end), base_seed + k) for k in range(count))
+    return (_evaluate(theorem, make(base_seed + k, t_end)) for k in range(count))
 
 
 def iter_transmission_suite(
@@ -145,10 +136,10 @@ def check_theorems(
             ok = result.passed
             all_ok = all_ok and ok
             if report:
+                c = result.config
                 report(
-                    f"{result.theorem:<14} {result.seed:>5} {result.n:>2} "
-                    f"{result.d:>2} {result.tau:>7.4f} {result.lam:>8.4f} "
-                    f"{result.decay_ratio:>10.3e} {result.mean_drift:>10.3e}  "
+                    f"{result.theorem:<14} {c.seed:>5} {c.n:>2} {c.d:>2} {c.tau:>7.4f} "
+                    f"{c.lam:>8.4f} {result.decay_ratio:>10.3e} {result.mean_drift:>10.3e}  "
                     f"{'pass' if ok else 'FAIL'}"
                 )
             # Free the trajectory eagerly; suites at full count hold ~100 runs.

@@ -13,7 +13,6 @@ from .core import (
     ClassificationEvidence,
     Mesh,  # noqa: F401  (re-exported)
     ModelKind,
-    NonFiniteStateError,
     SimConfig,
     Trajectory,
     diameter_series,
@@ -140,7 +139,7 @@ def run_lanes(configs) -> list[Trajectory]:
     """Run every configuration in ``configs`` as a lane of one batch.
 
     The lanes share the model, steps_per_delay, N and d; they may differ in
-    tau, lambda, t_end and the datum, which each lane samples on its own mesh.
+    tau, lambda, t_end and the datum, which each config samples on its own mesh.
     Each lane carries its own step dt and gain lam*(dt*m). With m shared, a
     delay block is m rows in every lane, so the lanes advance block by block in
     lockstep, each aborting on its own and leaving the batch at its own
@@ -199,10 +198,7 @@ def _run_batch(configs, record) -> list[tuple]:
     # scalar per node.
     config = configs[0]
     shape = (config.n, config.d)
-    datums = [c.datum.on_mesh(c.mesh.datum_times) for c in configs]
-    for datum_states, _ in datums:
-        if datum_states.shape[1:] != shape:
-            raise ValueError(f"datum shape {datum_states.shape[1:]} does not match {shape}")
+    datums = [c.history for c in configs]
     m = config.steps_per_delay
     lag = len(datums[0][0]) - 1
     node = () if config.model.is_scalar else shape
@@ -217,8 +213,6 @@ def _run_batch(configs, record) -> list[tuple]:
     head = (lag + 1, len(configs)) + node
     datum_states = np.stack([s for s, _ in datums], axis=1).reshape(head)
     datum_slopes = np.stack([d for _, d in datums], axis=1).reshape(head)
-    if not (np.isfinite(datum_states).all() and np.isfinite(datum_slopes).all()):
-        raise NonFiniteStateError("initial datum contains non-finite entries")
     states = np.empty((ends[0] + 1,) + head[1:])
     states[: lag + 1] = datum_states
     x0 = datum_states[lag]

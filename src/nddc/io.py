@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -80,26 +80,15 @@ def weights_from_dict(payload, n: int = 2) -> WeightMatrix:
     return WeightSpec(kind=_key("weights", payload, "kind"), **{"n": n, **given}).build()
 
 
+#: Each datum kind's class, whose fields, in order, are the kind's JSON arrays.
+_DATUM_KINDS = {"constant": ConstantDatum, "linear": LinearDatum, "table": SampledDatum}
+
+
 def datum_to_dict(datum: Datum) -> dict:
-    if isinstance(datum, ConstantDatum):
-        return {"kind": "constant", "values": datum.values.tolist()}
-    if isinstance(datum, LinearDatum):
-        return {"kind": "linear", "start": datum.start.tolist(),
-                "slope": datum.slope.tolist()}
-    if isinstance(datum, SampledDatum):
-        return {
-            "kind": "table",
-            "times": datum.times.tolist(),
-            "states": datum.states.tolist(),
-            "derivatives": datum.derivs.tolist(),
-        }
+    for kind, cls in _DATUM_KINDS.items():
+        if isinstance(datum, cls):
+            return {"kind": kind, **{f.name: getattr(datum, f.name).tolist() for f in fields(cls)}}
     raise TypeError(f"unknown datum type: {type(datum)!r}")
-
-
-#: Each datum kind's class and the keys of its arrays, in the class's argument order.
-_DATUM_KINDS = {"constant": (ConstantDatum, ("values",)),
-                "linear": (LinearDatum, ("start", "slope")),
-                "table": (SampledDatum, ("times", "states", "derivatives"))}
 
 
 def datum_from_dict(payload, n: int, d: int) -> Datum:
@@ -108,7 +97,8 @@ def datum_from_dict(payload, n: int, d: int) -> Datum:
     kind = _key("datum", payload, "kind")
     if not isinstance(kind, str) or kind not in _DATUM_KINDS:
         raise ValueError(f"unknown datum kind: {kind!r}")
-    cls, keys = _DATUM_KINDS[kind]
+    cls = _DATUM_KINDS[kind]
+    keys = [f.name for f in fields(cls)]
     _object("datum", payload, ("kind", *keys))
 
     def array(key: str) -> np.ndarray:

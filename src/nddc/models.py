@@ -30,18 +30,14 @@ def trans_two_agent_stable(lam: float, tau: float) -> bool:
     return lam * tau < 1.0
 
 
-def react_two_agent_sufficient(lam: float, tau: float) -> bool:
-    """Sufficient (not necessary) two-agent reaction criterion 2*(1+lam)*tau < 1."""
-    return 2.0 * (1.0 + lam) * tau < 1.0
-
-
 def theorem_transmission_condition(lam: float, tau: float) -> bool:
     """N-agent transmission consensus guarantee, equality admitted: lam*tau <= 1."""
     return lam * tau <= 1.0
 
 
 def theorem_reaction_condition(lam: float, tau: float) -> bool:
-    """N-agent reaction consensus guarantee, strict: (1+lam)*tau < 1/2."""
+    """Reaction consensus guarantee, strict: (1+lam)*tau < 1/2. It is the N-agent
+    theorem's and, exactly (doubling is exact), the two-agent sufficient 2(1+lam)tau < 1."""
     return (1.0 + lam) * tau < 0.5
 
 

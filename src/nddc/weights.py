@@ -87,8 +87,9 @@ def gamma(matrix: WeightMatrix) -> float:
 class WeightSpec:
     """Generator recipe for a weight matrix (used by configs and the CLI).
 
-    The seed must be >= 0, as every generator's random stream needs, and
-    ``min_off_diagonal`` (default 0.5/(n-1)) is for random-row-stochastic only.
+    n must be >= 2, as every generator needs two agents, and the seed >= 0, as
+    their random streams need; ``min_off_diagonal`` (default 0.5/(n-1)) is for
+    random-row-stochastic only.
     Frozen, as ``SimConfig`` is: a spec is judged once, when it is built.
     """
 
@@ -100,7 +101,7 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "random-row-stochastic", "random-symmetric-bistochastic"):
             raise ValueError(f"unknown weight spec kind: {self.kind!r}")
-        object.__setattr__(self, "n", integer("n", self.n))
+        object.__setattr__(self, "n", integer("n", self.n, minimum=2))
         object.__setattr__(self, "seed", integer("seed", self.seed, minimum=0))
         if self.min_off_diagonal is not None:
             if self.kind != "random-row-stochastic":

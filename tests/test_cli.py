@@ -160,6 +160,18 @@ def test_validate_weights(tmp_path, capsys):
     assert main(["validate-weights", "--weights", str(bad)]) == 1
 
 
+def test_one_agent_weight_spec_is_one_error_line(tmp_path, capsys):
+    # The random-row floor 0.5 / (n - 1) was computed before n was checked,
+    # and n = 1 ended in a ZeroDivisionError traceback.
+    out = tmp_path / "out"
+    assert main(["run", "--model", "transmission", "--n", "1", "--tau", "0.2",
+                 "--weights", "random-row", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 2, got 1\n"
+    assert not out.exists()
+    assert main(["validate-weights", "--weights", "random-row", "--n", "1"]) == 1
+    assert capsys.readouterr().err == "invalid weights: n must be >= 2, got 1\n"
+
+
 def test_check_theorems_small(capsys):
     assert main(["check-theorems", "--instances", "2", "--t-end", "40"]) == 0
     out = capsys.readouterr().out
@@ -220,7 +232,7 @@ GAP_CONFIG = {"model": "two-agent-transmission", "tau": 0.25, "t_end": 1.0}
      "two-agent-reaction takes n = d = 1 and no weights"),
     (["--model", "transmission", "--tau", "0.25", "--weights", "uniform", "--seed", "-1"], None,
      "seed must be >= 0, got -1"),
-    # A datum of the wrong shape fails in the integrator, before --out is made.
+    # A datum of the wrong shape fails when the config is built, before --out is made.
     ([], {"model": "transmission", "n": 2, "tau": 0.25, "t_end": 1.0,
           "weights": {"kind": "uniform", "n": 2},
           "datum": {"kind": "constant", "values": [[1, 0], [0, 1], [-1, 0]]}},

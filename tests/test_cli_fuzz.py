@@ -44,7 +44,7 @@ RUN_FLAGS = {
     "--lambda": ["1", "0"],
     "--steps-per-delay": ["2"],
     "--t-end": ["0.5"],
-    "--n": ["3"],
+    "--n": ["3", "1"],
     "--d": ["2"],
     "--seed": ["3"],
     "--weights": WEIGHT_NAMES,
@@ -66,7 +66,7 @@ SWEEP_FLAGS = {
 }
 WEIGHT_FLAGS = {
     "--weights": WEIGHT_NAMES,
-    "--n": ["3"],
+    "--n": ["3", "1"],
     "--min-off-diagonal": ["0.3"],
     "--seed": ["3"],
 }

@@ -171,7 +171,7 @@ class TestDatum:
     def test_table_alignment(self):
         times = np.array([-0.2, -0.1, 0.0])
         datum = SampledDatum(times=times, states=np.zeros((3, 1, 1)),
-                             derivs=np.zeros((3, 1, 1)))
+                             derivatives=np.zeros((3, 1, 1)))
         states, _ = datum.on_mesh(times)
         assert states.shape == (3, 1, 1)
         with pytest.raises(MeshAlignmentError):
@@ -312,3 +312,23 @@ class TestSimConfig:
         config = self._config(model="reaction", n=2, datum=ConstantDatum([[1.0], [0.0]]),
                               weights=halves)
         assert not config.weights.row_stochastic
+
+    # The datum is sampled on the mesh, and judged, when the config is built.
+
+    @pytest.mark.parametrize("overrides,error,message", [
+        (dict(model="transmission", n=2, weights=make_uniform(2),
+              datum=ConstantDatum([[1.0, 2.0, 3.0]])),
+         ValueError, r"datum shape \(1, 3\) does not match \(2, 1\)"),
+        (dict(datum=SampledDatum(times=[0.0], states=np.ones((1, 1, 1)),
+                                 derivatives=np.zeros((1, 1, 1)))),
+         MeshAlignmentError, "datum table has 1 samples, mesh needs 3"),
+    ])
+    def test_datum_judged_when_built(self, overrides, error, message):
+        with pytest.raises(error, match=message):
+            self._config(**overrides)
+
+    def test_history_is_the_datum_on_the_mesh(self):
+        config = self._config(datum=LinearDatum(start=[[1.0]], slope=[[2.0]]))
+        states, slopes = config.history
+        assert states[:, 0, 0].tolist() == [0.0, 0.5, 1.0]
+        assert slopes[:, 0, 0].tolist() == [2.0, 2.0, 2.0]

@@ -401,7 +401,6 @@ class TestTrackIJ:
         report = track_ij(run(cfg))
         assert report.final_pair == (1, 2)
         assert report.stabilization_time == 0.0
-        assert report.change_fraction == 0.0
 
     def test_consensus_datum_tie_break(self):
         traj = _transmission_run(np.full((4, 1), 1.0), t_end=5.0)

@@ -98,7 +98,7 @@ def _lyapunov() -> LyapunovSeries:
 def _ij_report() -> IJReport:
     return IJReport(pairs=np.array([[1, 2], [2, 3], [2, 3], [1, 3]]),
                     final_pair=(1, 3), stabilization_time=None,
-                    last_change_time=0.375, change_fraction=2.0 / 3.0)
+                    last_change_time=0.375)
 
 
 GOLDEN = {

@@ -97,9 +97,9 @@ class TestInitHistory:
 
     def test_misaligned_table_rejected(self):
         table = SampledDatum(times=np.array([-0.4, -0.15, 0.0]),
-                             states=np.zeros((3, 1, 1)), derivs=np.zeros((3, 1, 1)))
+                             states=np.zeros((3, 1, 1)), derivatives=np.zeros((3, 1, 1)))
         with pytest.raises(MeshAlignmentError):
-            run(_gap_config(tau=0.4, m=2, t_end=2.0, datum=table))
+            _gap_config(tau=0.4, m=2, t_end=2.0, datum=table)
 
 
 class TestSteppers:
@@ -124,7 +124,7 @@ class TestSteppers:
         # Datum derivatives near float max overflow the anticipation term.
         mesh = Mesh.build(tau=0.04, steps_per_delay=4, t_end=1.0)
         table = SampledDatum(times=mesh.datum_times, states=np.zeros((5, 2, 1)),
-                             derivs=np.full((5, 2, 1), 1.7e308))
+                             derivatives=np.full((5, 2, 1), 1.7e308))
         traj = run(SimConfig(model=ModelKind.TRANSMISSION, tau=0.04, lam=1e3, datum=table,
                              n=2, d=1, steps_per_delay=4, t_end=1.0, weights=make_uniform(2)))
         assert traj.classification is Classification.DIVERGED
@@ -230,9 +230,9 @@ class TestRun:
             assert traj.classification is Classification.CONVERGED
 
     def test_non_finite_datum_rejected(self):
-        cfg = replace(_gap_config(), datum=ConstantDatum([[np.nan]]))
+        # The datum is judged when the config is built, not when it runs.
         with pytest.raises(NonFiniteStateError):
-            run(cfg)
+            replace(_gap_config(), datum=ConstantDatum([[np.nan]]))
 
     def test_recorded_diameters_match_brute_force(self):
         rng = np.random.default_rng(9)

@@ -125,7 +125,7 @@ class TestDatumJson:
             ConstantDatum([[1.0], [2.0]]),
             LinearDatum(start=[[0.0]], slope=[[1.0]]),
             SampledDatum(times=np.array([-0.1, 0.0]), states=np.zeros((2, 1, 1)),
-                         derivs=np.ones((2, 1, 1))),
+                         derivatives=np.ones((2, 1, 1))),
         ):
             payload = datum_to_dict(datum)
             rebuilt = datum_from_dict(payload, n=2, d=1)

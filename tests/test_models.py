@@ -19,7 +19,6 @@ from nddc.models import (
     RegimeLabel,
     analytic_overlays,
     react_no_anticipation_regime,
-    react_two_agent_sufficient,
     spectral_radius,
     theorem_reaction_condition,
     theorem_transmission_condition,
@@ -51,15 +50,16 @@ class TestScalarSteppers:
 
     def test_history_requires_full_datum(self):
         short = SampledDatum(times=[-0.05, 0.0], states=np.ones((2, 1, 1)),
-                             derivs=np.zeros((2, 1, 1)))
+                             derivatives=np.zeros((2, 1, 1)))
         with pytest.raises(MeshAlignmentError):
-            _gap_run(ModelKind.TWO_AGENT_TRANSMISSION, datum=short)
+            SimConfig(model=ModelKind.TWO_AGENT_TRANSMISSION, tau=0.2, lam=0.0, datum=short,
+                      n=1, d=1, steps_per_delay=4, t_end=1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_aborts(self):
         # datum derivatives near float max overflow the anticipation term
         table = SampledDatum(times=np.arange(-4, 1) * 0.01, states=np.zeros((5, 1, 1)),
-                             derivs=np.full((5, 1, 1), 1.7e308))
+                             derivatives=np.full((5, 1, 1), 1.7e308))
         traj = _gap_run(ModelKind.TWO_AGENT_TRANSMISSION, lam=1e3, m=4, tau=0.04, datum=table)
         assert traj.classification is Classification.DIVERGED
         assert traj.evidence.abort_step == 1
@@ -100,21 +100,15 @@ class TestConditions:
         assert not trans_two_agent_stable(1.0, 1.25)
 
     def test_reaction_sufficient(self):
-        assert react_two_agent_sufficient(0.0, 0.4)
-        assert not react_two_agent_sufficient(1.0, 0.3)
-        assert not react_two_agent_sufficient(0.25, 0.85)
+        # The two-agent sufficient condition 2 (1 + lam) tau < 1 is the theorem's.
+        assert theorem_reaction_condition(0.0, 0.4)
+        assert not theorem_reaction_condition(1.0, 0.3)
+        assert not theorem_reaction_condition(0.25, 0.85)
 
     def test_theorem_conditions(self):
         assert theorem_transmission_condition(2.0, 0.5)  # equality admitted
         assert theorem_reaction_condition(1.0, 0.2)
         assert not theorem_reaction_condition(0.0, 0.5)  # strict inequality
-
-    def test_sufficient_equals_theorem_with_factor_two(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            lam = float(rng.uniform(0, 3))
-            tau = float(rng.uniform(0, 1))
-            assert react_two_agent_sufficient(lam, tau) == theorem_reaction_condition(lam, tau)
 
 
 class TestNoAnticipationRegimes:
@@ -144,7 +138,7 @@ def _not_unstable(lam, tau):
 OVERLAY_PREDICATES = [
     (ModelKind.TWO_AGENT_TRANSMISSION, "two-agent-boundary", trans_two_agent_stable),
     (ModelKind.TRANSMISSION, "consensus-guarantee", theorem_transmission_condition),
-    (ModelKind.TWO_AGENT_REACTION, "sufficient-condition", react_two_agent_sufficient),
+    (ModelKind.TWO_AGENT_REACTION, "sufficient-condition", theorem_reaction_condition),
     (ModelKind.TWO_AGENT_REACTION, "no-anticipation-critical", _not_unstable),
     (ModelKind.REACTION, "sufficient-condition", theorem_reaction_condition),
 ]

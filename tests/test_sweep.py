@@ -9,7 +9,7 @@ import pytest
 from nddc.core import Classification, ModelKind
 from nddc.diagnostics import RATE_TOL, TOL_HIGH, TOL_LOW
 from nddc.integrator import run
-from nddc.models import react_two_agent_sufficient
+from nddc.models import theorem_reaction_condition
 from nddc.sweep import (
     EXTRAPOLATED,
     SweepSettings,
@@ -67,7 +67,7 @@ class TestGridSweep:
         grid = grid_sweep(settings, lam_values, tau_values)
         for i, tau in enumerate(tau_values):
             for j, lam in enumerate(lam_values):
-                if react_two_agent_sufficient(lam, tau):
+                if theorem_reaction_condition(lam, tau):
                     assert grid.raster[i, j] == Classification.CONVERGED.value, (lam, tau)
 
     def test_transmission_grid_matches_exact_criterion(self):
