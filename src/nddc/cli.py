@@ -14,6 +14,7 @@ import numpy as np
 from . import diagnostics, harness, io, presets, sweep
 from .core import ModelKind, integer
 from .integrator import run as run_sim
+from .weights import WeightSpec
 
 #: The generator names ``--weights`` accepts and the WeightSpec kinds they build.
 WEIGHT_KINDS = {
@@ -41,11 +42,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _weights_payload(args) -> dict | None:
+    if args.min_off_diagonal is not None and args.weights != "random-row":
+        raise ValueError("--min-off-diagonal applies to --weights random-row only")
     if args.weights is None:
         return None
     if args.weights in WEIGHT_KINDS:
-        spec = {"kind": WEIGHT_KINDS[args.weights], "n": args.n,
-                "min_off_diagonal": args.min_off_diagonal, "seed": args.seed}
+        # The spec's fields other than its kind are the flags of the same names.
+        spec = {f.name: getattr(args, f.name, None) for f in fields(WeightSpec)}
+        spec["kind"] = WEIGHT_KINDS[args.weights]
         return {key: value for key, value in spec.items() if value is not None}
     with open(args.weights) as fh:
         return json.load(fh)
@@ -86,6 +90,8 @@ def _overrides(args) -> dict:
 
 def _cmd_run(args) -> int:
     config = io.parse_config(args.config, _overrides(args))
+    if args.diagnostics and config.model.is_scalar:
+        raise ValueError(f"--diagnostics needs an N-agent model, not {config.model.value}")
     started = time.perf_counter()
     traj = run_sim(config)
     duration = time.perf_counter() - started
@@ -96,7 +102,7 @@ def _cmd_run(args) -> int:
     times = io.TimeColumn()
     io.write_trajectory_csv(traj, csv_path, times=times)
     outputs = [csv_path]
-    if args.diagnostics and not config.model.is_scalar:
+    if args.diagnostics:
         report = diagnostics.track_ij(traj)
         ij_path = out / "ij.csv"
         io.write_ij_csv(report, traj, ij_path, times=times)
@@ -138,14 +144,20 @@ def _parse_axis(flag: str, text: str) -> np.ndarray:
     return np.linspace(lo, hi, integer(f"N of {flag}", count, minimum=1))
 
 
+def _write_grid(grid, out: Path, prefix: str) -> list[Path]:
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / f"{prefix}grid.csv", out / f"{prefix}grid.json"]
+    io.write_grid_csv(grid, paths[0])
+    io.write_grid_json(grid, paths[1])
+    return paths
+
+
 def _cmd_sweep(args) -> int:
     settings = sweep.SweepSettings(model=ModelKind(args.model), t_end=args.t_end,
                                    steps_per_delay=args.steps_per_delay)
     grid = sweep.grid_sweep(settings, _parse_axis("--lambda-range", args.lambda_range),
                             _parse_axis("--tau-range", args.tau_range))
-    args.out.mkdir(parents=True, exist_ok=True)
-    io.write_grid_csv(grid, args.out / "grid.csv")
-    io.write_grid_json(grid, args.out / "grid.json")
+    _write_grid(grid, args.out, "")
     counts = {}
     for label in grid.raster.ravel():
         counts[label] = counts.get(label, 0) + 1
@@ -163,11 +175,7 @@ def _cmd_figure(args) -> int:
     if preset.sweep is not None:
         grid = sweep.grid_sweep(preset.sweep.settings, preset.sweep.lam_values,
                                 preset.sweep.tau_values)
-        for name, writer in (("grid.csv", io.write_grid_csv),
-                             ("grid.json", io.write_grid_json)):
-            path = out / f"{preset.name}_{name}"
-            writer(grid, path)
-            outputs.append(path)
+        outputs += _write_grid(grid, out, f"{preset.name}_")
         summary["boundary"] = grid.boundary.tolist()
         config_payload = {"sweep": preset.name}
     else:
@@ -193,8 +201,10 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate_weights(args) -> int:
     try:
-        # A generator name or a file, read as ``run --weights`` reads it.
-        wm = io.weights_from_dict(_weights_payload(args))
+        # A generator name or a file, read as ``run --weights`` reads it, at --n when given.
+        wm = io.weights_from_dict(_weights_payload(args), args.n)
+        if args.n is not None and wm.n != args.n:
+            raise ValueError(f"weight matrix size {wm.n} does not match --n {args.n}")
     except (ValueError, OSError) as exc:
         print(f"invalid weights: {exc}", file=sys.stderr)
         return 1
@@ -205,8 +215,8 @@ def _cmd_validate_weights(args) -> int:
 
 
 def _cmd_check_theorems(args) -> int:
-    ok = harness.check_theorems(count=args.instances, base_seed=args.seed,
-                                t_end=args.t_end, report=print)
+    ok = harness.check_theorems(print, count=args.instances, base_seed=args.seed,
+                                t_end=args.t_end)
     print("all theorem checks passed" if ok else "THEOREM CHECK FAILURES",
           file=sys.stdout if ok else sys.stderr)
     return 0 if ok else 1
@@ -242,7 +252,7 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate-weights", help="print structural flags")
     p_val.add_argument("--weights", required=True)
-    p_val.add_argument("--n", type=int, default=2)
+    p_val.add_argument("--n", type=int)
     p_val.add_argument("--min-off-diagonal", type=float)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate_weights)

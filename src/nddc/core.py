@@ -6,8 +6,8 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union, get_args
 
 import numpy as np
 
@@ -70,6 +70,13 @@ def _strongly_connected(adjacency: np.ndarray) -> bool:
     return reaches_all(adjacency) and reaches_all(adjacency.T)
 
 
+def _frozen(values, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of ``values``: no array a config has judged can change."""
+    array = np.array(values, dtype=float, ndmin=ndmin)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """Nonnegative N x N communication weights and their five structural flags.
@@ -91,7 +98,7 @@ class WeightMatrix:
     irreducible: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
+        w = _frozen(self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         n = w.shape[0]
@@ -101,7 +108,6 @@ class WeightMatrix:
             raise ValueError("weight matrix has non-finite entries")
         if np.any(w < 0):
             raise ValueError("weight matrix has negative entries")
-        w.flags.writeable = False
 
         off = w.copy()
         np.fill_diagonal(off, 0.0)
@@ -130,14 +136,14 @@ class WeightMatrix:
         return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstantDatum:
     """Initial trajectories x0(t) = c with zero derivative."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", _frozen(self.values, ndmin=2))
 
     def on_mesh(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = len(times)
@@ -145,7 +151,7 @@ class ConstantDatum:
         return states, np.zeros_like(states)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearDatum:
     """Initial trajectories x0(t) = a + t * b with derivative b."""
 
@@ -153,8 +159,8 @@ class LinearDatum:
     slope: np.ndarray
 
     def __post_init__(self) -> None:
-        self.start = np.atleast_2d(np.asarray(self.start, dtype=float))
-        self.slope = np.atleast_2d(np.asarray(self.slope, dtype=float))
+        object.__setattr__(self, "start", _frozen(self.start, ndmin=2))
+        object.__setattr__(self, "slope", _frozen(self.slope, ndmin=2))
         if self.start.shape != self.slope.shape:
             raise ValueError("start and slope must have the same shape")
 
@@ -165,7 +171,7 @@ class LinearDatum:
         return states, derivs
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledDatum:
     """Initial trajectories given as mesh-aligned (time, state, derivative) samples."""
 
@@ -174,9 +180,8 @@ class SampledDatum:
     derivatives: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        self.derivatives = np.asarray(self.derivatives, dtype=float)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
         if self.states.shape != self.derivatives.shape or len(self.times) != len(self.states):
             raise ValueError("sampled datum arrays are inconsistent")
 
@@ -189,7 +194,7 @@ class SampledDatum:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(times))) if len(times) else 1.0)
         if np.max(np.abs(self.times - times)) > tol:
             raise MeshAlignmentError("datum table is not aligned with the mesh")
-        return self.states.copy(), self.derivatives.copy()
+        return self.states, self.derivatives
 
 
 Datum = Union[ConstantDatum, LinearDatum, SampledDatum]
@@ -296,9 +301,9 @@ class SimConfig:
     Frozen: vary a built config with ``dataclasses.replace``, which judges the
     result anew. A t_end of None is ``default_horizon(tau)`` rounded up to the
     mesh. Two attributes are not fields: ``mesh``, the config's ``Mesh``, and
-    ``history``, the datum's (states, slopes) on the mesh's [-tau, 0], which
-    must be finite and (N, d) per node. The seed is only a manifest label, so
-    any integer is kept.
+    ``history``, the datum's read-only (states, slopes) on the mesh's
+    [-tau, 0], which must be finite and (N, d) per node. The seed is only a
+    manifest label, so any integer is kept.
     """
 
     model: ModelKind
@@ -339,7 +344,10 @@ class SimConfig:
             raise ValueError(f"weight matrix size {self.weights.n} does not match n = {n}")
         elif self.model is ModelKind.TRANSMISSION and not self.weights.row_stochastic:
             raise ValueError("the transmission model needs off-diagonal row sums of 1")
-        put("history", self.datum.on_mesh(self.mesh.datum_times))
+        if not isinstance(self.datum, get_args(Datum)):
+            raise ValueError("the datum must be a ConstantDatum, LinearDatum or SampledDatum, "
+                             f"got {type(self.datum).__name__}")
+        put("history", tuple(map(_frozen, self.datum.on_mesh(self.mesh.datum_times))))
         states, slopes = self.history
         if states.shape[1:] != (n, d):
             raise ValueError(f"datum shape {states.shape[1:]} does not match {(n, d)}")

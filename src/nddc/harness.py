@@ -10,7 +10,7 @@ import numpy as np
 from .core import (ConstantDatum, ModelKind, SimConfig, Trajectory, aligned_t_end,
                    check_horizon, integer)
 from .integrator import run
-from .weights import make_random_row_stochastic, make_random_symmetric_bistochastic
+from .weights import WeightSpec
 
 #: Decay required of d_x(t_end) / d_x(0) by both theorem suites.
 DECAY_THRESHOLD = 1e-3
@@ -51,9 +51,9 @@ def _random_datum(rng: np.random.Generator, n: int, d: int) -> ConstantDatum:
             return ConstantDatum(values / norms.max())
 
 
-def _instance(seed: int, t_end: float, draw, model: ModelKind, make_weights) -> SimConfig:
+def _instance(seed: int, t_end: float, draw, model: ModelKind, weights: str) -> SimConfig:
     # n, d, then (tau, lam) = draw(rng), then the datum, all from one stream;
-    # make_weights(n, seed) draws the weights from its own.
+    # the weight spec of kind ``weights`` draws the weights from its own.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     d = int(rng.integers(1, 4))
@@ -61,7 +61,7 @@ def _instance(seed: int, t_end: float, draw, model: ModelKind, make_weights) -> 
     m = 32
     return SimConfig(model=model, tau=tau, lam=lam, datum=_random_datum(rng, n, d), n=n, d=d,
                      steps_per_delay=m, t_end=aligned_t_end(tau, m, t_end),
-                     weights=make_weights(n, seed), seed=seed)
+                     weights=WeightSpec(weights, n, seed=seed).build(), seed=seed)
 
 
 def _transmission_draw(rng: np.random.Generator) -> tuple[float, float]:
@@ -77,13 +77,13 @@ def _reaction_draw(rng: np.random.Generator) -> tuple[float, float]:
 def transmission_instance(seed: int, t_end: float = 100.0) -> SimConfig:
     """Random transmission run satisfying the consensus guarantee lam*tau <= 1."""
     return _instance(seed, t_end, _transmission_draw, ModelKind.TRANSMISSION,
-                     lambda n, seed: make_random_row_stochastic(n, 0.5 / (n - 1), seed))
+                     "random-row-stochastic")
 
 
 def reaction_instance(seed: int, t_end: float = 100.0) -> SimConfig:
     """Random reaction run satisfying the consensus guarantee (1+lam)*tau < 1/2."""
     return _instance(seed, t_end, _reaction_draw, ModelKind.REACTION,
-                     make_random_symmetric_bistochastic)
+                     "random-symmetric-bistochastic")
 
 
 def _evaluate(theorem: str, config: SimConfig) -> TheoremRun:
@@ -112,13 +112,8 @@ def iter_reaction_suite(
     return _suite("reaction", reaction_instance, count, base_seed, t_end)
 
 
-def check_theorems(
-    count: int = 50,
-    base_seed: int = 0,
-    t_end: float = 100.0,
-    report=None,
-) -> bool:
-    """Run both suites, optionally printing a pass/fail table. True iff all pass.
+def check_theorems(report, count: int = 50, base_seed: int = 0, t_end: float = 100.0) -> bool:
+    """Run both suites, reporting a pass/fail table line by line. True iff all pass.
 
     ``count`` instances per suite, an integer >= 1; it, ``base_seed`` (an
     integer >= 0, as the generators' random streams need) and ``t_end`` are
@@ -128,20 +123,18 @@ def check_theorems(
     base_seed = integer("seed", base_seed, minimum=0)
     check_horizon(t_end)
     all_ok = True
-    if report:
-        report(f"{'theorem':<14} {'seed':>5} {'N':>2} {'d':>2} {'tau':>7} "
-               f"{'lambda':>8} {'decay':>10} {'drift':>10}  status")
+    report(f"{'theorem':<14} {'seed':>5} {'N':>2} {'d':>2} {'tau':>7} "
+           f"{'lambda':>8} {'decay':>10} {'drift':>10}  status")
     for suite in (iter_transmission_suite, iter_reaction_suite):
         for result in suite(count=count, base_seed=base_seed, t_end=t_end):
             ok = result.passed
             all_ok = all_ok and ok
-            if report:
-                c = result.config
-                report(
-                    f"{result.theorem:<14} {c.seed:>5} {c.n:>2} {c.d:>2} {c.tau:>7.4f} "
-                    f"{c.lam:>8.4f} {result.decay_ratio:>10.3e} {result.mean_drift:>10.3e}  "
-                    f"{'pass' if ok else 'FAIL'}"
-                )
+            c = result.config
+            report(
+                f"{result.theorem:<14} {c.seed:>5} {c.n:>2} {c.d:>2} {c.tau:>7.4f} "
+                f"{c.lam:>8.4f} {result.decay_ratio:>10.3e} {result.mean_drift:>10.3e}  "
+                f"{'pass' if ok else 'FAIL'}"
+            )
             # Free the trajectory eagerly; suites at full count hold ~100 runs.
             result.trajectory = None  # type: ignore[assignment]
     return all_ok

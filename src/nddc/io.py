@@ -67,17 +67,17 @@ def weights_to_dict(weights: WeightMatrix) -> dict:
     return {"matrix": [[float(v) for v in row] for row in weights.weights]}
 
 
-def weights_from_dict(payload, n: int = 2) -> WeightMatrix:
-    """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object,
-    whose n defaults to ``n``."""
+def weights_from_dict(payload, n: Optional[int] = None) -> WeightMatrix:
+    """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object
+    keyed by its fields, whose n defaults to ``n`` when that is given."""
     if isinstance(payload, list):
         return WeightMatrix(_numbers("weights", payload))
     if isinstance(payload, dict) and "matrix" in payload:
         _object("weights", payload, ("matrix",))
         return WeightMatrix(_numbers("weights 'matrix'", payload["matrix"]))
-    payload = _object("weights", payload, ("kind", "n", "min_off_diagonal", "seed"))
-    given = {key: payload[key] for key in ("n", "min_off_diagonal", "seed") if key in payload}
-    return WeightSpec(kind=_key("weights", payload, "kind"), **{"n": n, **given}).build()
+    spec = _object("weights", payload, [f.name for f in fields(WeightSpec)])
+    _key("weights", spec, "kind")
+    return WeightSpec(**({"n": n, **spec} if n is not None else spec)).build()
 
 
 #: Each datum kind's class, whose fields, in order, are the kind's JSON arrays.
@@ -85,10 +85,8 @@ _DATUM_KINDS = {"constant": ConstantDatum, "linear": LinearDatum, "table": Sampl
 
 
 def datum_to_dict(datum: Datum) -> dict:
-    for kind, cls in _DATUM_KINDS.items():
-        if isinstance(datum, cls):
-            return {"kind": kind, **{f.name: getattr(datum, f.name).tolist() for f in fields(cls)}}
-    raise TypeError(f"unknown datum type: {type(datum)!r}")
+    kind = next(kind for kind, cls in _DATUM_KINDS.items() if isinstance(datum, cls))
+    return {"kind": kind, **{f.name: getattr(datum, f.name).tolist() for f in fields(datum)}}
 
 
 def datum_from_dict(payload, n: int, d: int) -> Datum:
@@ -140,7 +138,7 @@ def config_from_dict(payload) -> SimConfig:
     weights = payload.get("weights")
     if weights is not None:
         # A spec takes the config's n unless it gives its own; a gap model takes none.
-        weights = weights_from_dict(weights, 2 if model.is_scalar else n)
+        weights = weights_from_dict(weights, None if model.is_scalar else n)
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
     given = {key: payload[key] for key in ("steps_per_delay", "t_end", "seed") if key in payload}
@@ -334,12 +332,5 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 def read_manifest(path) -> RunManifest:
     with open(path) as fh:
-        payload = json.load(fh)
-    return RunManifest(
-        config=payload["config"],
-        tool_version=payload.get("tool_version", TOOL_VERSION),
-        duration_seconds=payload.get("duration_seconds", 0.0),
-        outputs=[Path(p) for p in payload.get("outputs", [])],
-        classification=payload.get("classification"),
-        summary=payload.get("summary", {}),
-    )
+        payload = _object("manifest", json.load(fh), [f.name for f in fields(RunManifest)])
+    return RunManifest(**{**payload, "outputs": [Path(p) for p in payload.get("outputs", [])]})

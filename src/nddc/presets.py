@@ -55,7 +55,6 @@ class FigurePreset:
 
 def figure_preset(name: str) -> FigurePreset:
     """The reference experiment ``name``, one of FIGURE_NAMES."""
-    name = name.lower()
     if name == "fig3":
         return FigurePreset(name=name, sweep=SweepJob(
             settings=SweepSettings(model=ModelKind.TWO_AGENT_REACTION),

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import (Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end,
-                   default_horizon, integer)
+from .core import Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end, integer
 from .diagnostics import RATE_TOL, TOL_HIGH, TOL_LOW
 # ``run`` stays importable from this module for callers that time single cells.
 from .integrator import classify_lanes, run  # noqa: F401
@@ -64,7 +62,7 @@ class SweepSettings:
 
 def cell_config(settings: SweepSettings, lam: float, tau: float) -> SimConfig:
     m = settings.steps_per_delay
-    horizon = settings.t_end if settings.t_end is not None else default_horizon(tau)
+    t_end = aligned_t_end(tau, m, settings.t_end) if settings.t_end is not None else None
     return SimConfig(
         model=settings.model,
         tau=tau,
@@ -72,7 +70,7 @@ def cell_config(settings: SweepSettings, lam: float, tau: float) -> SimConfig:
         datum=ConstantDatum([[1.0]]),
         n=1,
         steps_per_delay=m,
-        t_end=aligned_t_end(tau, m, horizon),
+        t_end=t_end,
     )
 
 
@@ -152,6 +150,7 @@ def grid_sweep(
     jobs = [(settings, lam_values, float(tau)) for tau in tau_values]
     workers = min(_pool_size(workers), len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_row, jobs))
     else:

@@ -1,10 +1,12 @@
 """End-to-end command-line checks."""
 
+import hashlib
 import json
 
 import pytest
 
 from nddc.cli import main
+from test_grid_pin import FIG3_CSV_SHA256, FIG3_JSON_SHA256
 
 
 def test_run_two_agent(tmp_path, capsys):
@@ -340,3 +342,87 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv, err
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_figure_fig3_grid_matches_sweep_and_pin(tmp_path):
+    # `nddc figure fig3` and `nddc sweep` over its axes write one grid, byte for
+    # byte, and that grid is the one test_grid_pin.py pins.
+    fig, swept = tmp_path / "fig", tmp_path / "sweep"
+    assert main(["figure", "fig3", "--out", str(fig)]) == 0
+    assert main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:3:31",
+                 "--tau-range", "0:1:21", "--out", str(swept)]) == 0
+    manifest = json.loads((fig / "fig3_manifest.json").read_text())
+    assert manifest["outputs"] == [str(fig / "fig3_grid.csv"), str(fig / "fig3_grid.json")]
+    for suffix, digest in (("csv", FIG3_CSV_SHA256), ("json", FIG3_JSON_SHA256)):
+        data = (fig / f"fig3_grid.{suffix}").read_bytes()
+        assert data == (swept / f"grid.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_run_reaction_model_with_diagnostics(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--model", "reaction", "--n", "3", "--tau", "0.1", "--lambda", "0.5",
+                 "--steps-per-delay", "8", "--t-end", "2", "--weights", "random-sym",
+                 "--datum", "linear:0,1", "--diagnostics", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / name)
+                                   for name in ("trajectory.csv", "ij.csv", "lyapunov.csv")]
+
+
+def test_run_diagnostics_skips_an_inapplicable_lyapunov_monitor(tmp_path, capsys):
+    # At lam * tau > 1 the transmission functional is not sign-definite.
+    out = tmp_path / "out"
+    assert main(["run", "--model", "transmission", "--n", "3", "--tau", "0.5", "--lambda", "3",
+                 "--steps-per-delay", "8", "--t-end", "2", "--weights", "random-row",
+                 "--diagnostics", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "lyapunov monitor skipped: functional is not sign-definite for lam*tau > 1\n")
+    assert (out / "ij.csv").exists() and not (out / "lyapunov.csv").exists()
+
+
+# Flags that a command would otherwise ignore are refused.
+
+@pytest.mark.parametrize("flags,message", [
+    (["--model", "transmission", "--weights", "W.json"],
+     "--min-off-diagonal applies to --weights random-row only"),
+    (["--model", "two-agent-reaction"], "--min-off-diagonal applies to --weights random-row only"),
+])
+def test_run_refuses_min_off_diagonal_without_random_row(tmp_path, capsys, flags, message):
+    (tmp_path / "W.json").write_text(json.dumps([[0.0, 1.0], [1.0, 0.0]]))
+    flags = [str(tmp_path / f) if f == "W.json" else f for f in flags]
+    out = tmp_path / "out"
+    assert main(["run", *flags, "--tau", "0.2", "--min-off-diagonal", "0.3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_validate_weights_refuses_min_off_diagonal_without_random_row(tmp_path, capsys):
+    path = tmp_path / "W.json"
+    path.write_text(json.dumps([[0.0, 1.0], [1.0, 0.0]]))
+    assert main(["validate-weights", "--weights", str(path), "--min-off-diagonal", "0.3"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid weights: --min-off-diagonal applies to --weights random-row only\n")
+
+
+def test_validate_weights_builds_a_spec_at_n(tmp_path, capsys):
+    # The spec's floor is valid at n = 2 but above 1/(n - 1) at n = 5.
+    spec, matrix = tmp_path / "spec.json", tmp_path / "matrix.json"
+    spec.write_text(json.dumps({"kind": "random-row-stochastic", "min_off_diagonal": 0.6}))
+    matrix.write_text(json.dumps([[0.0, 1.0], [1.0, 0.0]]))
+    assert main(["validate-weights", "--weights", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["validate-weights", "--weights", str(spec), "--n", "5"]) == 1
+    assert capsys.readouterr().err.startswith("invalid weights: min_off_diagonal must lie in")
+    assert main(["validate-weights", "--weights", str(matrix), "--n", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid weights: weight matrix size 2 does not match --n 3\n")
+
+
+def test_run_refuses_diagnostics_on_a_gap_model(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--model", "two-agent-reaction", "--tau", "0.2", "--diagnostics",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --diagnostics needs an N-agent model, not two-agent-reaction\n")
+    assert not out.exists()

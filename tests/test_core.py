@@ -1,5 +1,6 @@
 """Domain-type tests: diameter, datum construction, and config validation."""
 
+import json
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from nddc.core import (
     diameter_series,
 )
 from nddc.integrator import classify_lanes, run
+from nddc.io import config_from_dict, config_to_dict
 from nddc.weights import make_uniform
 
 
@@ -180,6 +182,53 @@ class TestDatum:
             datum.on_mesh(np.array([-0.2, -0.1, 0.0, 0.1]))
 
 
+def _datums(a):
+    # One datum of each kind, all built from the caller's array ``a`` of shape (1, 1).
+    return [ConstantDatum(a), LinearDatum(start=a, slope=a),
+            SampledDatum(times=a[0], states=a[None], derivatives=a[None])]
+
+
+class TestFrozenDatum:
+    # A config samples its datum once; a datum that changed afterwards would be
+    # written to the manifest with values the run never started from.
+
+    def test_fields_cannot_be_assigned(self):
+        for datum in _datums(np.ones((1, 1))):
+            for f in fields(datum):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(datum, f.name, np.zeros((1, 1)))
+
+    def test_arrays_are_read_only(self):
+        for datum in _datums(np.ones((1, 1))):
+            for f in fields(datum):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(datum, f.name)[...] = 5.0
+
+    def test_caller_array_is_copied(self):
+        a = np.ones((1, 1))
+        datums = _datums(a)
+        a[0, 0] = 5.0
+        for datum in datums:
+            assert all(np.all(getattr(datum, f.name) == 1.0) for f in fields(datum))
+
+    def test_history_is_read_only(self):
+        config = SimConfig(model="two-agent-reaction", tau=0.2, lam=0.0,
+                           datum=ConstantDatum([[1.0]]), n=1)
+        for array in config.history:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+
+    def test_manifest_replays_the_run_bit_for_bit(self):
+        # The config judged the datum 1; the caller then changes its array, and
+        # the manifest must still name the datum the run started from.
+        a = np.ones((1, 1))
+        config = SimConfig(model="two-agent-reaction", tau=0.2, lam=0.0,
+                           datum=ConstantDatum(a), n=1, t_end=5.0)
+        a[0, 0] = 5.0
+        replay = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+        assert run(replay).states.tobytes() == run(config).states.tobytes()
+
+
 class TestSimConfig:
     def _config(self, **overrides):
         kwargs = dict(model="two-agent-transmission", tau=0.5, lam=1.0,
@@ -326,6 +375,11 @@ class TestSimConfig:
     def test_datum_judged_when_built(self, overrides, error, message):
         with pytest.raises(error, match=message):
             self._config(**overrides)
+
+    @pytest.mark.parametrize("datum", [None, [[1.0]], "constant:1"])
+    def test_datum_type_checked(self, datum):
+        with pytest.raises(ValueError, match="the datum must be a ConstantDatum"):
+            self._config(datum=datum)
 
     def test_history_is_the_datum_on_the_mesh(self):
         config = self._config(datum=LinearDatum(start=[[1.0]], slope=[[2.0]]))

@@ -16,6 +16,7 @@ from nddc.core import (
     NonFiniteStateError,
     SampledDatum,
     SimConfig,
+    WeightMatrix,
     aligned_t_end,
 )
 from nddc.integrator import Mesh, refine_oracle, run
@@ -138,6 +139,16 @@ class TestSteppers:
                 run(SimConfig(model=ModelKind.TRANSMISSION, tau=tau, lam=0.0,
                               datum=ConstantDatum(np.zeros((4, 1))), n=4, d=1,
                               steps_per_delay=4, t_end=3.0, weights=wm))
+
+    def test_transmission_ignores_the_diagonal(self):
+        # The transmission model reads the off-diagonal weights only, so a
+        # diagonal added to W changes no bit of the run.
+        wm = make_random_row_stochastic(4, 0.1, seed=2)
+        datum = ConstantDatum(np.arange(8.0).reshape(4, 2))
+        runs = [run(SimConfig(model=ModelKind.TRANSMISSION, tau=0.3, lam=1.5, datum=datum,
+                              n=4, d=2, steps_per_delay=8, t_end=6.0, weights=weights))
+                for weights in (wm, WeightMatrix(wm.weights + np.diag([0.5, 0.0, 2.0, 1.0])))]
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
 
 
 class TestRun:

@@ -101,6 +101,12 @@ class TestWeightsJson:
     def test_spec_payload(self):
         assert weights_from_dict({"kind": "uniform", "n": 3}).weights[0, 1] == pytest.approx(0.5)
 
+    def test_bare_array_is_a_matrix(self):
+        matrix = [[0.0, 0.25], [1.0, 0.5]]
+        assert np.array_equal(weights_from_dict(json.loads(json.dumps(matrix))).weights, matrix)
+        with pytest.raises(ValueError, match="^weights must be a number or a rectangular array"):
+            weights_from_dict([[0.0, 1.0], [1.0]])
+
     @pytest.mark.parametrize("key,value", [("n", 3.5), ("seed", 1.5)])
     def test_spec_fractions_not_truncated(self, key, value):
         payload = {"kind": "random-symmetric-bistochastic", "n": 3, "seed": 1}
@@ -271,6 +277,14 @@ class TestManifest:
         write_trajectory_csv(replay, second)
         assert first.read_bytes() == second.read_bytes()
         assert loaded.classification == traj.classification.value
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        write_manifest(RunManifest(config={}, outputs=[tmp_path / "a.csv"]), path)
+        assert read_manifest(path).outputs == [tmp_path / "a.csv"]
+        path.write_text(json.dumps({**json.loads(path.read_text()), "outputz": []}))
+        with pytest.raises(ValueError, match="^unknown manifest key 'outputz'$"):
+            read_manifest(path)
 
     def test_non_finite_values_are_null(self, tmp_path):
         cfg, _ = _small_run()
