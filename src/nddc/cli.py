@@ -14,7 +14,6 @@ import numpy as np
 from . import diagnostics, harness, io, presets, sweep
 from .core import ModelKind, integer
 from .integrator import run as run_sim
-from .weights import WeightSpec
 
 #: The generator names ``--weights`` accepts and the WeightSpec kinds they build.
 WEIGHT_KINDS = {
@@ -47,10 +46,8 @@ def _weights_payload(args) -> dict | None:
     if args.weights is None:
         return None
     if args.weights in WEIGHT_KINDS:
-        # The spec's fields other than its kind are the flags of the same names.
-        spec = {f.name: getattr(args, f.name, None) for f in fields(WeightSpec)}
-        spec["kind"] = WEIGHT_KINDS[args.weights]
-        return {key: value for key, value in spec.items() if value is not None}
+        # Its n and seed, like a spec file's, are the config's or --n and --seed.
+        return {"kind": WEIGHT_KINDS[args.weights], "min_off_diagonal": args.min_off_diagonal}
     with open(args.weights) as fh:
         return json.load(fh)
 
@@ -74,18 +71,9 @@ def _datum_payload(value: str | None) -> dict | None:
 
 
 def _overrides(args) -> dict:
-    return {
-        "model": args.model,
-        "tau": args.tau,
-        "lambda": args.lam,
-        "steps_per_delay": args.steps_per_delay,
-        "t_end": args.t_end,
-        "n": args.n,
-        "d": args.d,
-        "seed": args.seed,
-        "weights": _weights_payload(args),
-        "datum": _datum_payload(args.datum),
-    }
+    # Each config key's flag has the key's SimConfig field as its dest.
+    return {**{key: getattr(args, name) for key, name in io.CONFIG_KEYS.items()},
+            "weights": _weights_payload(args), "datum": _datum_payload(args.datum)}
 
 
 def _cmd_run(args) -> int:
@@ -153,7 +141,7 @@ def _write_grid(grid, out: Path, prefix: str) -> list[Path]:
 
 
 def _cmd_sweep(args) -> int:
-    settings = sweep.SweepSettings(model=ModelKind(args.model), t_end=args.t_end,
+    settings = sweep.SweepSettings(model=args.model, t_end=args.t_end,
                                    steps_per_delay=args.steps_per_delay)
     grid = sweep.grid_sweep(settings, _parse_axis("--lambda-range", args.lambda_range),
                             _parse_axis("--tau-range", args.tau_range))
@@ -201,8 +189,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate_weights(args) -> int:
     try:
-        # A generator name or a file, read as ``run --weights`` reads it, at --n when given.
-        wm = io.weights_from_dict(_weights_payload(args), args.n)
+        # Read as ``run --weights`` reads it, at --n and --seed when given.
+        wm = io.weights_from_dict(_weights_payload(args), args.n, args.seed)
         if args.n is not None and wm.n != args.n:
             raise ValueError(f"weight matrix size {wm.n} does not match --n {args.n}")
     except (ValueError, OSError) as exc:
@@ -240,7 +228,8 @@ def main(argv=None) -> int:
                          choices=[m.value for m in ModelKind if m.is_scalar])
     p_sweep.add_argument("--lambda-range", required=True, metavar="LO:HI:N")
     p_sweep.add_argument("--tau-range", required=True, metavar="LO:HI:N")
-    p_sweep.add_argument("--steps-per-delay", type=int, default=32)
+    p_sweep.add_argument("--steps-per-delay", type=int,
+                         default=sweep.SweepSettings.steps_per_delay)
     p_sweep.add_argument("--t-end", type=float)
     p_sweep.add_argument("--out", type=Path, default=Path("nddc-out"))
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -254,14 +243,14 @@ def main(argv=None) -> int:
     p_val.add_argument("--weights", required=True)
     p_val.add_argument("--n", type=int)
     p_val.add_argument("--min-off-diagonal", type=float)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=int)
     p_val.set_defaults(func=_cmd_validate_weights)
 
     p_chk = sub.add_parser("check-theorems",
                            help="random-instance property harness for both guarantees")
-    p_chk.add_argument("--instances", type=int, default=50)
+    p_chk.add_argument("--instances", type=int, default=harness.SUITE_SIZE)
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--t-end", type=float, default=100.0)
+    p_chk.add_argument("--t-end", type=float, default=harness.SUITE_T_END)
     p_chk.set_defaults(func=_cmd_check_theorems)
 
     args = parser.parse_args(argv)

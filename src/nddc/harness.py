@@ -16,6 +16,9 @@ from .weights import WeightSpec
 DECAY_THRESHOLD = 1e-3
 #: Admissible drift of the mean under symmetric reaction weights.
 MEAN_DRIFT_THRESHOLD = 1e-10
+#: Default instances per suite, and the default horizon of each instance.
+SUITE_SIZE = 50
+SUITE_T_END = 100.0
 
 
 @dataclass
@@ -74,13 +77,13 @@ def _reaction_draw(rng: np.random.Generator) -> tuple[float, float]:
     return tau, float(rng.uniform(tau, 0.49)) / tau - 1.0
 
 
-def transmission_instance(seed: int, t_end: float = 100.0) -> SimConfig:
+def transmission_instance(seed: int, t_end: float = SUITE_T_END) -> SimConfig:
     """Random transmission run satisfying the consensus guarantee lam*tau <= 1."""
     return _instance(seed, t_end, _transmission_draw, ModelKind.TRANSMISSION,
                      "random-row-stochastic")
 
 
-def reaction_instance(seed: int, t_end: float = 100.0) -> SimConfig:
+def reaction_instance(seed: int, t_end: float = SUITE_T_END) -> SimConfig:
     """Random reaction run satisfying the consensus guarantee (1+lam)*tau < 1/2."""
     return _instance(seed, t_end, _reaction_draw, ModelKind.REACTION,
                      "random-symmetric-bistochastic")
@@ -101,18 +104,19 @@ def _suite(theorem: str, make, count: int, base_seed: int, t_end: float) -> Iter
 
 
 def iter_transmission_suite(
-    count: int = 50, base_seed: int = 0, t_end: float = 100.0
+    count: int = SUITE_SIZE, base_seed: int = 0, t_end: float = SUITE_T_END
 ) -> Iterator[TheoremRun]:
     return _suite("transmission", transmission_instance, count, base_seed, t_end)
 
 
 def iter_reaction_suite(
-    count: int = 50, base_seed: int = 0, t_end: float = 100.0
+    count: int = SUITE_SIZE, base_seed: int = 0, t_end: float = SUITE_T_END
 ) -> Iterator[TheoremRun]:
     return _suite("reaction", reaction_instance, count, base_seed, t_end)
 
 
-def check_theorems(report, count: int = 50, base_seed: int = 0, t_end: float = 100.0) -> bool:
+def check_theorems(report, count: int = SUITE_SIZE, base_seed: int = 0,
+                   t_end: float = SUITE_T_END) -> bool:
     """Run both suites, reporting a pass/fail table line by line. True iff all pass.
 
     ``count`` instances per suite, an integer >= 1; it, ``base_seed`` (an

@@ -67,9 +67,10 @@ def weights_to_dict(weights: WeightMatrix) -> dict:
     return {"matrix": [[float(v) for v in row] for row in weights.weights]}
 
 
-def weights_from_dict(payload, n: Optional[int] = None) -> WeightMatrix:
+def weights_from_dict(payload, n: Optional[int] = None,
+                      seed: Optional[int] = None) -> WeightMatrix:
     """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object
-    keyed by its fields, whose n defaults to ``n`` when that is given."""
+    keyed by its fields, whose n and seed default to ``n`` and ``seed`` when given."""
     if isinstance(payload, list):
         return WeightMatrix(_numbers("weights", payload))
     if isinstance(payload, dict) and "matrix" in payload:
@@ -77,7 +78,8 @@ def weights_from_dict(payload, n: Optional[int] = None) -> WeightMatrix:
         return WeightMatrix(_numbers("weights 'matrix'", payload["matrix"]))
     spec = _object("weights", payload, [f.name for f in fields(WeightSpec)])
     _key("weights", spec, "kind")
-    return WeightSpec(**({"n": n, **spec} if n is not None else spec)).build()
+    given = {key: value for key, value in (("n", n), ("seed", seed)) if value is not None}
+    return WeightSpec(**{**given, **spec}).build()
 
 
 #: Each datum kind's class, whose fields, in order, are the kind's JSON arrays.
@@ -107,45 +109,40 @@ def datum_from_dict(payload, n: int, d: int) -> Datum:
 
 
 # ---------------------------------------------------------------------------
-# SimConfig round trip
+# SimConfig round trip: a config's JSON keys are its fields, lam spelt "lambda".
+
+CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(SimConfig)}
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    return {
-        "model": config.model.value,
-        "n": config.n,
-        "d": config.d,
-        "tau": config.tau,
-        "lambda": config.lam,
-        "steps_per_delay": config.steps_per_delay,
-        "t_end": config.t_end,
-        "seed": config.seed,
-        "weights": weights_to_dict(config.weights) if config.weights is not None else None,
-        "datum": datum_to_dict(config.datum),
-    }
+    weights = config.weights
+    return {**{key: getattr(config, name) for key, name in CONFIG_KEYS.items()},
+            "model": config.model.value, "datum": datum_to_dict(config.datum),
+            "weights": weights_to_dict(weights) if weights is not None else None}
 
 
 def config_from_dict(payload) -> SimConfig:
     """The SimConfig of a JSON object with a "model" and a "tau". Defaults: n = 1
     for the gap models, else 2 with uniform weights, a constant datum 1, and
-    SimConfig's own; a null "t_end" or "weights" is the default. Any other key
-    is rejected."""
-    payload = _object("config", payload, ("model", "n", "d", "tau", "lambda", "steps_per_delay",
-                                          "t_end", "seed", "weights", "datum"))
+    SimConfig's own; a null "t_end" or "weights" is the default. A weight spec
+    takes the config's n and seed unless it gives its own. Any other key is
+    rejected."""
+    payload = _object("config", payload, CONFIG_KEYS)
     model = ModelKind(_key("config", payload, "model"))
+    _key("config", payload, "tau")
     # n and d are judged first: the weight spec and the datum's scalars fill them.
     n, d = agent_counts(payload.get("n", 1 if model.is_scalar else 2), payload.get("d", 1))
     weights = payload.get("weights")
     if weights is not None:
-        # A spec takes the config's n unless it gives its own; a gap model takes none.
-        weights = weights_from_dict(weights, None if model.is_scalar else n)
+        # A gap model takes no weights, so its spec takes neither n nor seed.
+        weights = (weights_from_dict(weights) if model.is_scalar
+                   else weights_from_dict(weights, n, payload.get("seed")))
     elif not model.is_scalar:
         weights = WeightSpec(kind="uniform", n=n).build()
-    given = {key: payload[key] for key in ("steps_per_delay", "t_end", "seed") if key in payload}
     datum = datum_from_dict(payload.get("datum", {"kind": "constant", "values": 1.0}), n, d)
-    return SimConfig(model=model, tau=_key("config", payload, "tau"),
-                     lam=payload.get("lambda", 0.0), datum=datum, n=n, d=d, weights=weights,
-                     **given)
+    given = {CONFIG_KEYS[key]: value for key, value in payload.items()}
+    return SimConfig(**{"lam": 0.0, **given, "model": model, "n": n, "d": d,
+                        "weights": weights, "datum": datum})
 
 
 def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
@@ -333,4 +330,5 @@ def write_manifest(manifest: RunManifest, path) -> None:
 def read_manifest(path) -> RunManifest:
     with open(path) as fh:
         payload = _object("manifest", json.load(fh), [f.name for f in fields(RunManifest)])
+    _key("manifest", payload, "config")
     return RunManifest(**{**payload, "outputs": [Path(p) for p in payload.get("outputs", [])]})

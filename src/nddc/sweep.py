@@ -54,7 +54,8 @@ class SweepSettings:
     tol_high = TOL_HIGH
 
     def __post_init__(self) -> None:
-        if not ModelKind(self.model).is_scalar:
+        object.__setattr__(self, "model", ModelKind(self.model))
+        if not self.model.is_scalar:
             raise ValueError("sweeps cover the two-agent reduction models only")
         object.__setattr__(self, "steps_per_delay",
                            integer("steps_per_delay", self.steps_per_delay, minimum=1))

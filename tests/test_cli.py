@@ -426,3 +426,24 @@ def test_run_refuses_diagnostics_on_a_gap_model(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --diagnostics needs an N-agent model, not two-agent-reaction\n")
     assert not out.exists()
+
+
+def test_a_weight_spec_takes_the_run_seed(tmp_path, capsys):
+    # A spec file without a seed drew from seed 0 whatever --seed said, while
+    # a generator name took --seed; both now take it.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "random-row-stochastic"}))
+    weights = []
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        assert main(["run", "--model", "transmission", "--n", "3", "--tau", "0.2",
+                     "--t-end", "1", "--weights", str(spec), "--seed", seed,
+                     "--out", str(out)]) == 0
+        weights.append(json.loads((out / "manifest.json").read_text())["config"]["weights"])
+    assert weights[0] != weights[1]
+    capsys.readouterr()
+    flags = []
+    for source in (str(spec), "random-row"):
+        assert main(["validate-weights", "--weights", source, "--n", "3", "--seed", "7"]) == 0
+        flags.append(capsys.readouterr().out)
+    assert flags[0] == flags[1]

@@ -205,6 +205,12 @@ class TestParseConfig:
         assert np.array_equal(own.weights.weights, expected)
         with pytest.raises(ValueError, match="weight matrix size 3 does not match n = 4"):
             config_from_dict({**payload, "weights": {**payload["weights"], "n": 3}})
+        # Its seed likewise: a spec without one used to draw from seed 0 while
+        # the config, and so the manifest, said 7.
+        assert np.array_equal(config_from_dict({**payload, "seed": 7}).weights.weights, expected)
+        seedless = {**payload, "seed": 7, "weights": {"kind": "random-row-stochastic"}}
+        assert np.array_equal(config_from_dict(seedless).weights.weights,
+                              make_random_row_stochastic(4, 0.5 / 3, 7).weights)
 
     def test_config_is_built_once(self, monkeypatch):
         # Each SimConfig builds its Mesh once; the reader used to build a
@@ -259,6 +265,14 @@ class TestParseConfig:
         assert rebuilt.model is cfg.model
         assert rebuilt.tau == cfg.tau and rebuilt.lam == cfg.lam
         assert rebuilt.t_end == cfg.t_end
+        # Every key survives, for a gap and an N-agent config. The dicts are
+        # compared, as SimConfig's == compares arrays.
+        datum = LinearDatum(start=np.arange(6.0).reshape(3, 2), slope=-np.ones((3, 2)))
+        agents = SimConfig(model=ModelKind.REACTION, tau=0.2, lam=0.5, datum=datum, n=3, d=2,
+                           weights=make_random_row_stochastic(3, 0.2, seed=5), seed=5)
+        for config in (cfg, agents):
+            payload = config_to_dict(config)
+            assert config_to_dict(config_from_dict(payload)) == payload
 
 
 class TestManifest:
@@ -284,6 +298,13 @@ class TestManifest:
         assert read_manifest(path).outputs == [tmp_path / "a.csv"]
         path.write_text(json.dumps({**json.loads(path.read_text()), "outputz": []}))
         with pytest.raises(ValueError, match="^unknown manifest key 'outputz'$"):
+            read_manifest(path)
+
+    def test_missing_config_rejected(self, tmp_path):
+        # RunManifest used to fail with a TypeError on its missing argument.
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"outputs": []}))
+        with pytest.raises(ValueError, match="^manifest needs a 'config'$"):
             read_manifest(path)
 
     def test_non_finite_values_are_null(self, tmp_path):

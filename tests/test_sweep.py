@@ -156,6 +156,8 @@ class TestGridSweep:
     def test_rejects_matrix_models(self):
         with pytest.raises(ValueError):
             SweepSettings(model=ModelKind.TRANSMISSION)
+        # A model name is kept as the ModelKind it was judged as.
+        assert SweepSettings(model="two-agent-reaction").model is ModelKind.TWO_AGENT_REACTION
 
     @pytest.mark.parametrize("steps", [0, -3, 2.5, True])
     def test_rejects_bad_steps_per_delay(self, steps):
