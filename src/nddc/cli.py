@@ -189,8 +189,12 @@ def _cmd_figure(args) -> int:
 
 def _cmd_validate_weights(args) -> int:
     try:
-        # Read as ``run --weights`` reads it, at --n and --seed when given.
-        wm = io.weights_from_dict(_weights_payload(args), args.n, args.seed)
+        # Read as ``run --weights`` reads it, at --n and --seed when given. A
+        # matrix draws nothing, and here --seed is no manifest label either.
+        payload = _weights_payload(args)
+        if args.seed is not None and io.is_matrix(payload):
+            raise ValueError("--seed applies to a weight generator or spec, not a matrix")
+        wm = io.weights_from_dict(payload, args.n, args.seed)
         if args.n is not None and wm.n != args.n:
             raise ValueError(f"weight matrix size {wm.n} does not match --n {args.n}")
     except (ValueError, OSError) as exc:

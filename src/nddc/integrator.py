@@ -129,6 +129,10 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
     Runs are aborted (classification Diverged) at the first node whose state
     is non-finite or whose opinion diameter exceeds DIVERGENCE_GUARD times
     max(1, d_x(0)); a node over the guard is recorded, a non-finite one is not.
+    An N-agent run whose states stop changing is filled with its last row up
+    to its horizon: after a full block past the datum window whose rows and
+    window are bitwise equal, every later block would rewrite the same rows.
+    Gap lanes are not checked, since their update changes any nonzero state.
     ``tol_low`` and ``tol_high`` are ``classify_series``'s.
     """
     (lane,) = _integrate([config], True)
@@ -277,6 +281,16 @@ def _run_batch(configs, record) -> list[tuple]:
                     # A node over the guard is recorded, a non-finite one is not.
                     tops[lane] = top + f + bool(np.isfinite(new[f, i]).all())
                 live = [lane for lane, gone in zip(live, hit) if not gone]
+        if node and live and count == m and top >= 2 * lag:
+            # After a full block that read no datum slopes: if rows top - lag ..
+            # top + m are bitwise equal, every later block reads this window
+            # and start row again and rewrites these rows, so the last row,
+            # which passed the guard, fills the rest of the lane's history.
+            # The block's last row against its first is the cheap test.
+            bits = states[top - lag : top + m + 1].view(np.int64)
+            if (bits[lag] == bits[-1]).all() and (bits == bits[-1]).all():
+                states[top + m + 1 :] = states[top + m]
+                count = ends[0] - top
         top += count
         # Lanes leave at their horizon, from the end: ends do not increase.
         while live and ends[live[-1]] == top:

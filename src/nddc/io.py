@@ -67,13 +67,18 @@ def weights_to_dict(weights: WeightMatrix) -> dict:
     return {"matrix": [[float(v) for v in row] for row in weights.weights]}
 
 
+def is_matrix(payload) -> bool:
+    """Whether a weights payload is a matrix: a JSON array, or an object with a "matrix"."""
+    return isinstance(payload, list) or isinstance(payload, dict) and "matrix" in payload
+
+
 def weights_from_dict(payload, n: Optional[int] = None,
                       seed: Optional[int] = None) -> WeightMatrix:
-    """A matrix (a JSON array, or an object with a "matrix"), or a WeightSpec object
-    keyed by its fields, whose n and seed default to ``n`` and ``seed`` when given."""
+    """A matrix (see ``is_matrix``), or a WeightSpec object keyed by its fields,
+    whose n and seed default to ``n`` and ``seed`` when given."""
     if isinstance(payload, list):
         return WeightMatrix(_numbers("weights", payload))
-    if isinstance(payload, dict) and "matrix" in payload:
+    if is_matrix(payload):
         _object("weights", payload, ("matrix",))
         return WeightMatrix(_numbers("weights 'matrix'", payload["matrix"]))
     spec = _object("weights", payload, [f.name for f in fields(WeightSpec)])

@@ -405,6 +405,23 @@ def test_validate_weights_refuses_min_off_diagonal_without_random_row(tmp_path, 
         "invalid weights: --min-off-diagonal applies to --weights random-row only\n")
 
 
+@pytest.mark.parametrize("payload", [[[0.0, 1.0], [1.0, 0.0]],
+                                     {"matrix": [[0.0, 1.0], [1.0, 0.0]]}])
+def test_validate_weights_refuses_seed_with_a_matrix(tmp_path, capsys, payload):
+    # A matrix printed its flags and exited 0 whatever --seed said, while a
+    # generator at the same --seed was refused.
+    path = tmp_path / "W.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate-weights", "--weights", str(path), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid weights: --seed applies to a weight generator or spec, not a matrix\n")
+    # ``run`` keeps --seed as the manifest's label.
+    out = tmp_path / "out"
+    assert main(["run", "--model", "transmission", "--n", "2", "--tau", "0.2", "--t-end", "1",
+                 "--weights", str(path), "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
+
+
 def test_validate_weights_builds_a_spec_at_n(tmp_path, capsys):
     # The spec's floor is valid at n = 2 but above 1/(n - 1) at n = 5.
     spec, matrix = tmp_path / "spec.json", tmp_path / "matrix.json"

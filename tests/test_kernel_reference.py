@@ -14,16 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nddc import harness
 from nddc.core import (
     DIVERGENCE_GUARD,
+    ConstantDatum,
     LinearDatum,
     ModelKind,
+    SampledDatum,
     SimConfig,
     diameter_series,
 )
 from nddc.diagnostics import classify_series
 from nddc.integrator import Mesh, run
-from nddc.weights import make_random_row_stochastic, make_random_symmetric_bistochastic
+from nddc.weights import (make_random_row_stochastic, make_random_symmetric_bistochastic,
+                          make_uniform)
 
 
 def reference_run(config):
@@ -122,3 +126,63 @@ def test_run_matches_per_step_reference(config):
     assert np.array_equal(traj.argmax_pairs, pairs)
     assert traj.classification is label
     assert traj.evidence.abort_step == abort_step
+
+
+def assert_matches_reference(config):
+    """run(config) equals reference_run(config) bit for bit, as in the test above."""
+    states, derivs, diameters, pairs, label, abort_step = reference_run(config)
+    traj = run(config)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivatives, derivs)
+    assert np.array_equal(traj.diameters, diameters)
+    assert np.array_equal(traj.argmax_pairs, pairs)
+    assert traj.classification is label
+    assert traj.evidence.abort_step == abort_step
+    return traj
+
+
+@pytest.mark.parametrize("model", [ModelKind.TRANSMISSION, ModelKind.REACTION])
+@pytest.mark.parametrize("tau", [0.0, 0.2])
+@pytest.mark.parametrize("d", [1, 3])
+def test_run_matches_reference_past_a_fixed_point(model, tau, d):
+    # A near-consensus datum reaches a floating-point fixed point within a few
+    # dozen steps; the kernel fills the rest of the history with it, and the
+    # reference computes every step.
+    n, m, steps = 5, 4, 300
+    rng = np.random.default_rng(d)
+    config = SimConfig(
+        model=model, tau=tau, lam=1.0, n=n, d=d,
+        datum=ConstantDatum(1.0 + 1e-13 * rng.uniform(-1, 1, (n, d))),
+        steps_per_delay=m, t_end=steps * (tau / m if tau > 0 else 1.0 / m),
+        weights=make_random_row_stochastic(n, 0.05, seed=3),
+    )
+    assert config.mesh.total_steps == steps
+    tail = assert_matches_reference(config).states[-200:].view(np.int64)
+    assert (tail == tail[-1]).all()
+
+
+@pytest.mark.parametrize("start,slope,still", [
+    # The datum's slopes make the first block's inputs a consensus: node 1
+    # equals node 0 and the datum, but the next block reads no slopes and moves.
+    ([0.0, 1.0], [2.0, 0.0], 1),
+    # Node 1 differs from node 0, so the second block's inputs are a consensus
+    # and node 2 equals node 1; the third block's window is at rest and moves.
+    ([0.0, 2.0], [0.0, -2.0], 2),
+], ids=["datum-slopes", "state-slopes"])
+def test_a_block_at_rest_is_no_fixed_point_while_its_window_moves(start, slope, still):
+    # Reaction at m = 1, n = 2: a step stays put whenever its two inputs are
+    # equal, so a block can repeat its start row while its window does not.
+    start, slope = np.array(start)[:, None], np.array(slope)[:, None]
+    datum = SampledDatum(np.array([-0.5, 0.0]), np.stack([start, start]), np.stack([slope, slope]))
+    config = SimConfig(model=ModelKind.REACTION, tau=0.5, lam=1.0, n=2, d=1, datum=datum,
+                       steps_per_delay=1, t_end=3.0, weights=make_uniform(2))
+    states = assert_matches_reference(config).states
+    assert np.array_equal(states[still], states[still - 1])
+    assert not np.array_equal(states[still + 1], states[still])
+
+
+@pytest.mark.parametrize("make", [harness.transmission_instance, harness.reaction_instance])
+def test_theorem_instance_matches_reference(make):
+    # Seed 0's states freeze from step 3,578 of 11,079 (transmission) and
+    # 8,440 of 22,157 (reaction): most of each horizon is the filled tail.
+    assert_matches_reference(make(0))
