@@ -49,28 +49,6 @@ def reaction_decay_coefficient(lam: float, tau: float) -> float:
     return (1.0 + lam) * tau - 0.5
 
 
-def psi_sum(state, weights: WeightMatrix) -> np.ndarray:
-    """Row i is sum_{j != i} w_ij x_j (the weighted average each agent perceives)."""
-    return weights.off_diagonal() @ np.asarray(state, dtype=float)
-
-
-def phi(state, weights: WeightMatrix) -> np.ndarray:
-    """Row i is sum_j w_ij (x_j - x_i); diagonal weights cancel."""
-    values = np.asarray(state, dtype=float)
-    w = weights.weights
-    return w @ values - w.sum(axis=1)[:, None] * values
-
-
-def dissimilarity(state, weights: WeightMatrix) -> float:
-    """Weighted squared spread sum_ij w_ij |x_j - x_i|^2.
-
-    For irreducible weights the value vanishes exactly when all agents agree.
-    """
-    values = np.asarray(state, dtype=float)
-    diff = values[None, :, :] - values[:, None, :]
-    return float(np.einsum("ij,ijk,ijk->", weights.weights, diff, diff))
-
-
 @dataclass
 class GeomBound:
     lhs: float
@@ -79,7 +57,8 @@ class GeomBound:
 
 
 def geom_bound_check(state, weights: WeightMatrix, pair: tuple[int, int]) -> GeomBound:
-    """Check |Psi^i - Psi^k| <= gamma * diameter for a 1-based agent pair.
+    """Check |Psi^i - Psi^k| <= gamma * diameter for a 1-based agent pair, where
+    Psi^i = sum_{j != i} w_ij x_j is the weighted average agent i perceives.
 
     This is the ergodicity-coefficient contraction bound on weighted averages
     over distinct rows; it holds for every row-stochastic matrix with strictly
@@ -90,7 +69,7 @@ def geom_bound_check(state, weights: WeightMatrix, pair: tuple[int, int]) -> Geo
     i, k = pair
     if i == k:
         raise ValueError("pair must name two distinct agents")
-    psi = psi_sum(state, weights)
+    psi = weights.off_diagonal() @ np.asarray(state, dtype=float)
     lhs = float(np.linalg.norm(psi[i - 1] - psi[k - 1]))
     d_x, _ = diameter(state)
     rhs = gamma(weights) * d_x

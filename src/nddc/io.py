@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .core import (
     ConstantDatum,
     Datum,
@@ -25,8 +26,6 @@ from .core import (
 from .diagnostics import IJReport, LyapunovSeries
 from .sweep import StabilityGrid
 from .weights import WeightSpec
-
-TOOL_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,7 @@ class RunManifest:
     """Reproducibility record: resolved config, outputs, and the verdict."""
 
     config: dict
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     duration_seconds: float = 0.0
     outputs: list = field(default_factory=list)
     classification: Optional[str] = None
@@ -335,5 +334,8 @@ def write_manifest(manifest: RunManifest, path) -> None:
 def read_manifest(path) -> RunManifest:
     with open(path) as fh:
         payload = _object("manifest", json.load(fh), [f.name for f in fields(RunManifest)])
-    _key("manifest", payload, "config")
-    return RunManifest(**{**payload, "outputs": [Path(p) for p in payload.get("outputs", [])]})
+    _object("manifest 'config'", _key("manifest", payload, "config"))
+    outputs = payload.get("outputs", [])
+    if not (isinstance(outputs, list) and all(isinstance(p, str) for p in outputs)):
+        raise ValueError("manifest 'outputs' must be an array of strings")
+    return RunManifest(**{**payload, "outputs": [Path(p) for p in outputs]})

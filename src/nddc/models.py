@@ -3,7 +3,6 @@ and the condition curves tau(lambda) they draw over a stability grid."""
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -11,23 +10,8 @@ import numpy as np
 
 from .core import ModelKind
 
-#: Regime thresholds for the no-anticipation reaction equation, applied to 2*tau.
-NON_OSCILLATORY_THRESHOLD = math.exp(-1.0)
-INSTABILITY_THRESHOLD = math.pi / 2.0
-#: Critical delay of the no-anticipation two-agent reaction equation (pi/4).
-CRITICAL_TAU_NO_ANTICIPATION = INSTABILITY_THRESHOLD / 2.0
-
-
-class RegimeLabel(str, enum.Enum):
-    STABLE_NON_OSCILLATORY = "stable-non-oscillatory"
-    STABLE_OSCILLATORY = "stable-oscillatory"
-    UNSTABLE = "unstable"
-    BOUNDARY = "boundary"
-
-
-def trans_two_agent_stable(lam: float, tau: float) -> bool:
-    """Exact two-agent transmission criterion: consensus iff lam*tau < 1."""
-    return lam * tau < 1.0
+#: Critical delay of the no-anticipation two-agent reaction equation x' = -2 x(t - tau).
+CRITICAL_TAU_NO_ANTICIPATION = math.pi / 4.0
 
 
 def theorem_transmission_condition(lam: float, tau: float) -> bool:
@@ -39,20 +23,6 @@ def theorem_reaction_condition(lam: float, tau: float) -> bool:
     """Reaction consensus guarantee, strict: (1+lam)*tau < 1/2. It is the N-agent
     theorem's and, exactly (doubling is exact), the two-agent sufficient 2(1+lam)tau < 1."""
     return (1.0 + lam) * tau < 0.5
-
-
-def react_no_anticipation_regime(tau: float) -> RegimeLabel:
-    """Regime of x' = -2 x(t - tau): thresholds e^-1 and pi/2 applied to 2*tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    two_tau = 2.0 * tau
-    if two_tau == NON_OSCILLATORY_THRESHOLD or two_tau == INSTABILITY_THRESHOLD:
-        return RegimeLabel.BOUNDARY
-    if two_tau < NON_OSCILLATORY_THRESHOLD:
-        return RegimeLabel.STABLE_NON_OSCILLATORY
-    if two_tau < INSTABILITY_THRESHOLD:
-        return RegimeLabel.STABLE_OSCILLATORY
-    return RegimeLabel.UNSTABLE
 
 
 def spectral_radius(model: ModelKind, tau: float, lam: float, m: int) -> float:

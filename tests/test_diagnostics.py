@@ -1,4 +1,4 @@
-"""Functional diagnostics: weighted sums, dissipation monitors, classification."""
+"""Functional diagnostics: Phi and the dissimilarity, dissipation monitors, classification."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,9 @@ from nddc.diagnostics import (
     _phi_and_dissimilarity,
     apriori_bounds,
     classify_series,
-    dissimilarity,
     geom_bound_check,
     lyap_reaction,
     lyap_transmission,
-    phi,
-    psi_sum,
     reaction_decay_coefficient,
     track_ij,
     transmission_decay_coefficient,
@@ -39,70 +36,60 @@ def _transmission_run(values, tau=0.2, lam=1.0, m=32, t_end=20.0, seed=0, floor=
     return run(cfg)
 
 
-class TestPsiSum:
-    def test_consensus_averages_to_consensus(self):
-        wm = make_uniform(4)
-        state = np.full((4, 2), 3.5)
-        np.testing.assert_allclose(psi_sum(state, wm), state, rtol=1e-15)
-
-    def test_uniform_three_agents(self):
-        wm = make_uniform(3)
-        state = np.array([[0.0], [1.0], [2.0]])
-        np.testing.assert_allclose(psi_sum(state, wm)[:, 0], [1.5, 1.0, 0.5])
-
-    def test_two_agents_swap(self):
-        wm = make_uniform(2)
-        state = np.array([[2.0], [5.0]])
-        np.testing.assert_allclose(psi_sum(state, wm)[:, 0], [5.0, 2.0])
+def _node(state, wm):
+    # Phi and the dissimilarity D of one (N, d) state, as the monitors compute them.
+    phi_t, d_series = _phi_and_dissimilarity(np.asarray(state, dtype=float)[None], wm.weights)
+    return phi_t[0], float(d_series[0])
 
 
 class TestPhi:
     def test_two_agents(self):
         wm = make_uniform(2)
         state = np.array([[0.0], [1.0]])
-        np.testing.assert_allclose(phi(state, wm)[:, 0], [1.0, -1.0])
+        np.testing.assert_allclose(_node(state, wm)[0][:, 0], [1.0, -1.0])
 
     def test_consensus_vanishes(self):
         wm = make_random_symmetric_bistochastic(5, seed=3)
         state = np.full((5, 3), -0.2)
-        np.testing.assert_allclose(phi(state, wm), 0.0, atol=1e-15)
+        np.testing.assert_allclose(_node(state, wm)[0], 0.0, atol=1e-15)
 
     def test_symmetric_weights_sum_to_zero(self):
         rng = np.random.default_rng(8)
         wm = make_random_symmetric_bistochastic(6, seed=8)
         state = rng.normal(size=(6, 2))
-        np.testing.assert_allclose(phi(state, wm).sum(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(_node(state, wm)[0].sum(axis=0), 0.0, atol=1e-12)
 
-    def test_row_stochastic_relation_to_psi(self):
+    def test_row_stochastic_is_perceived_average_minus_state(self):
+        # Zero-diagonal row-stochastic weights: Phi^i = sum_{j != i} w_ij x_j - x_i.
         rng = np.random.default_rng(2)
         wm = make_random_row_stochastic(5, 0.1, seed=2)
         state = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(phi(state, wm), psi_sum(state, wm) - state,
+        np.testing.assert_allclose(_node(state, wm)[0], wm.off_diagonal() @ state - state,
                                    rtol=0, atol=1e-12)
 
 
 class TestDissimilarity:
     def test_two_agents(self):
         wm = make_uniform(2)
-        assert dissimilarity(np.array([[0.0], [1.0]]), wm) == pytest.approx(2.0)
+        assert _node(np.array([[0.0], [1.0]]), wm)[1] == pytest.approx(2.0)
 
     def test_consensus_vanishes(self):
         wm = make_uniform(4)
-        assert dissimilarity(np.full((4, 2), 1.0), wm) == 0.0
+        assert _node(np.full((4, 2), 1.0), wm)[1] == 0.0
 
     def test_translation_invariant_quadratic_scaling(self):
         rng = np.random.default_rng(4)
         wm = make_random_symmetric_bistochastic(5, seed=4)
         state = rng.normal(size=(5, 2))
-        base = dissimilarity(state, wm)
-        assert dissimilarity(state + 3.7, wm) == pytest.approx(base, rel=1e-10)
-        assert dissimilarity(2.0 * state, wm) == pytest.approx(4.0 * base, rel=1e-12)
+        base = _node(state, wm)[1]
+        assert _node(state + 3.7, wm)[1] == pytest.approx(base, rel=1e-10)
+        assert _node(2.0 * state, wm)[1] == pytest.approx(4.0 * base, rel=1e-12)
 
     def test_zero_implies_consensus_for_irreducible(self):
         wm = make_random_symmetric_bistochastic(5, seed=5)
         rng = np.random.default_rng(5)
         state = rng.normal(size=(5, 1))
-        assert dissimilarity(state, wm) > 0.0
+        assert _node(state, wm)[1] > 0.0
 
 
 class TestGeomBound:

@@ -5,15 +5,20 @@ model conserves the agent mean under symmetric weights, and relabelling the
 agents relabels the result. The last two hold up to rounding: the sums over
 neighbours are formed in another order, so they are compared with a stated
 tolerance of 4 * N * K * eps times the largest state entry after K steps,
-a few roundings of a length-N sum per step.
+a few roundings of a length-N sum per step. The models are linear, so scaling
+the datum leaves every verdict of the fig3 grid as it is.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nddc.core import ConstantDatum, LinearDatum, ModelKind, SimConfig, WeightMatrix
-from nddc.integrator import run
+from nddc.integrator import classify_lanes, run
+from nddc.presets import figure_preset
+from nddc.sweep import cell_config
 from nddc.weights import (
     make_random_row_stochastic,
     make_random_symmetric_bistochastic,
@@ -110,3 +115,18 @@ def test_relabelling_agents_relabels_the_result(config, random):
     tol = _tolerance(traj)
     assert np.abs(other.states - traj.states[:, order]).max() <= tol
     assert np.abs(other.derivatives - traj.derivatives[:, order]).max() <= tol
+
+
+def test_scaling_the_datum_keeps_every_fig3_verdict():
+    # Not so by construction: the divergence guard and the trailing-peak rule
+    # measure d_x against max(1, d_x(0)), which does not scale with the datum.
+    job = figure_preset("fig3").sweep
+    checked = 0
+    for tau in job.tau_values[job.tau_values > 0].tolist():
+        cells = [cell_config(job.settings, lam, tau) for lam in job.lam_values.tolist()]
+        want = [label for label, _ in classify_lanes(cells)]
+        for c in (1e-3, 1e-6, 1e3):
+            scaled = [replace(cell, datum=ConstantDatum([[c]])) for cell in cells]
+            assert [label for label, _ in classify_lanes(scaled)] == want, (tau, c)
+            checked += len(cells)
+    assert checked == 1860

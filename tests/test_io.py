@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import nddc
 from nddc.core import (
     ConstantDatum,
     LinearDatum,
@@ -306,6 +307,27 @@ class TestManifest:
         path.write_text(json.dumps({"outputs": []}))
         with pytest.raises(ValueError, match="^manifest needs a 'config'$"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("config", [5, [], "abc", None])
+    def test_non_object_config_rejected(self, tmp_path, config):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": config}))
+        with pytest.raises(ValueError, match="^manifest 'config' must be a JSON object"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("outputs", ["abc", [1], {"a": "b"}, None])
+    def test_outputs_must_be_strings(self, tmp_path, outputs):
+        # A string used to read as one output per character.
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": {}, "outputs": outputs}))
+        with pytest.raises(ValueError, match="^manifest 'outputs' must be an array of strings$"):
+            read_manifest(path)
+
+    def test_tool_version_is_package_version(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        write_manifest(RunManifest(config={}), path)
+        assert json.loads(path.read_text())["tool_version"] == nddc.__version__
+        assert read_manifest(path).tool_version == nddc.__version__
 
     def test_non_finite_values_are_null(self, tmp_path):
         cfg, _ = _small_run()

@@ -16,13 +16,10 @@ from nddc.core import (
 from nddc.integrator import classify_lanes, run
 from nddc.models import (
     CRITICAL_TAU_NO_ANTICIPATION,
-    RegimeLabel,
     analytic_overlays,
-    react_no_anticipation_regime,
     spectral_radius,
     theorem_reaction_condition,
     theorem_transmission_condition,
-    trans_two_agent_stable,
 )
 from nddc.presets import figure_preset
 from nddc.sweep import SweepSettings, cell_config
@@ -94,11 +91,6 @@ class TestGapEquivalence:
 
 
 class TestConditions:
-    def test_transmission_two_agent(self):
-        assert not trans_two_agent_stable(4.0, 0.25)  # boundary lam*tau = 1
-        assert trans_two_agent_stable(0.0, 123.0)
-        assert not trans_two_agent_stable(1.0, 1.25)
-
     def test_reaction_sufficient(self):
         # The two-agent sufficient condition 2 (1 + lam) tau < 1 is the theorem's.
         assert theorem_reaction_condition(0.0, 0.4)
@@ -107,39 +99,23 @@ class TestConditions:
 
     def test_theorem_conditions(self):
         assert theorem_transmission_condition(2.0, 0.5)  # equality admitted
+        assert theorem_transmission_condition(0.0, 123.0)
+        assert not theorem_transmission_condition(1.0, 1.25)
         assert theorem_reaction_condition(1.0, 0.2)
         assert not theorem_reaction_condition(0.0, 0.5)  # strict inequality
 
 
-class TestNoAnticipationRegimes:
-    def test_regime_labels(self):
-        assert react_no_anticipation_regime(0.15) is RegimeLabel.STABLE_NON_OSCILLATORY
-        assert react_no_anticipation_regime(0.5) is RegimeLabel.STABLE_OSCILLATORY
-        assert react_no_anticipation_regime(0.8) is RegimeLabel.UNSTABLE
-
-    def test_boundaries(self):
-        assert react_no_anticipation_regime(math.exp(-1) / 2) is RegimeLabel.BOUNDARY
-        assert react_no_anticipation_regime(math.pi / 4) is RegimeLabel.BOUNDARY
-
-    def test_critical_delay_is_pi_over_four(self):
-        assert CRITICAL_TAU_NO_ANTICIPATION == math.pi / 4
-        assert react_no_anticipation_regime(CRITICAL_TAU_NO_ANTICIPATION) is RegimeLabel.BOUNDARY
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            react_no_anticipation_regime(0.0)
-
-
-def _not_unstable(lam, tau):
-    return react_no_anticipation_regime(tau) is not RegimeLabel.UNSTABLE
+def _below_critical_delay(lam, tau):
+    # x' = -2 x(t - tau) is stable iff 2 tau < pi/2; the curve is its boundary.
+    return 2 * tau <= math.pi / 2
 
 
 #: Each overlay curve, by model and label, and the predicate it is the boundary of.
 OVERLAY_PREDICATES = [
-    (ModelKind.TWO_AGENT_TRANSMISSION, "two-agent-boundary", trans_two_agent_stable),
+    (ModelKind.TWO_AGENT_TRANSMISSION, "two-agent-boundary", theorem_transmission_condition),
     (ModelKind.TRANSMISSION, "consensus-guarantee", theorem_transmission_condition),
     (ModelKind.TWO_AGENT_REACTION, "sufficient-condition", theorem_reaction_condition),
-    (ModelKind.TWO_AGENT_REACTION, "no-anticipation-critical", _not_unstable),
+    (ModelKind.TWO_AGENT_REACTION, "no-anticipation-critical", _below_critical_delay),
     (ModelKind.REACTION, "sufficient-condition", theorem_reaction_condition),
 ]
 
@@ -151,6 +127,7 @@ class TestOverlays:
         suff = curves["sufficient-condition"]
         np.testing.assert_allclose(suff.tau, [0.5, 0.25])
         critical = curves["no-anticipation-critical"]
+        assert CRITICAL_TAU_NO_ANTICIPATION == math.pi / 4
         np.testing.assert_allclose(critical.tau, CRITICAL_TAU_NO_ANTICIPATION)
 
     def test_transmission_curve(self):
