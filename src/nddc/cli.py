@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,13 +110,7 @@ def _cmd_run(args) -> int:
         duration_seconds=duration,
         outputs=outputs,
         classification=traj.classification.value,
-        summary={
-            "final_dx": traj.evidence.final_dx,
-            "trailing_peak": traj.evidence.trailing_peak,
-            "trailing_ratio": traj.evidence.trailing_ratio,
-            "rate": traj.evidence.rate,
-            "aborted": traj.evidence.aborted,
-        },
+        summary=asdict(traj.evidence),
     )
     io.write_manifest(manifest, out / "manifest.json")
     print(f"{config.model.value}: {traj.classification.value} "
@@ -264,7 +258,3 @@ def main(argv=None) -> int:
         # A request too large for memory is refused like any bad input.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -166,8 +166,7 @@ def _windowed_sum(series: np.ndarray, width: int, ends: np.ndarray) -> np.ndarra
     return padded[ends + 1] - padded[ends + 1 - width]
 
 
-def lyap_transmission(traj: Trajectory,
-                      pair: Optional[tuple[int, int]] = None) -> LyapunovSeries:
+def lyap_transmission(traj: Trajectory) -> LyapunovSeries:
     """Monitor the transmission Lyapunov functional along a run.
 
     L(n) = 1/2 |(x_I - lam*tau Psi~^I) - (x_K - lam*tau Psi~^K)|^2
@@ -179,9 +178,7 @@ def lyap_transmission(traj: Trajectory,
     delayed derivative the per-step decrement then provably stays below
     -(1-gamma)(1-lam*tau*gamma) * d_x(n+1)^2 * dt up to rounding, so the check
     needs no discretization allowance. Checking starts after max(2*tau, T0),
-    where T0 is the last time the argmax pair changed; passing an explicit
-    pair skips the tracker and starts at 2*tau (the caller then vouches that
-    the pair attains the diameter over the checked range).
+    where T0 is the last time the argmax pair changed.
     """
     cfg = traj.config
     if cfg.model is not ModelKind.TRANSMISSION:
@@ -193,12 +190,8 @@ def lyap_transmission(traj: Trajectory,
         raise ValueError("functional is not sign-definite for lam*tau > 1")
     m, dt, total = _monitor_mesh(traj)
 
-    if pair is None:
-        report = track_ij(traj)
-        pair = report.final_pair
-        t0 = report.last_change_time
-    else:
-        t0 = float(traj.times[0])
+    report = track_ij(traj)
+    pair, t0 = report.final_pair, report.last_change_time
     i, k = pair[0] - 1, pair[1] - 1
 
     lt = cfg.lam * cfg.tau

@@ -22,6 +22,7 @@ from .core import (
     Trajectory,
     WeightMatrix,
     agent_counts,
+    real,
 )
 from .diagnostics import IJReport, LyapunovSeries
 from .sweep import StabilityGrid
@@ -335,6 +336,12 @@ def read_manifest(path) -> RunManifest:
     with open(path) as fh:
         payload = _object("manifest", json.load(fh), [f.name for f in fields(RunManifest)])
     _object("manifest 'config'", _key("manifest", payload, "config"))
+    _object("manifest 'summary'", payload.get("summary", {}))
+    real("manifest 'duration_seconds'", payload.get("duration_seconds", 0.0), minimum=0.0)
+    if not isinstance(payload.get("classification"), (str, type(None))):
+        raise ValueError("manifest 'classification' must be a string or null")
+    if not isinstance(payload.get("tool_version", ""), str):
+        raise ValueError("manifest 'tool_version' must be a string")
     outputs = payload.get("outputs", [])
     if not (isinstance(outputs, list) and all(isinstance(p, str) for p in outputs)):
         raise ValueError("manifest 'outputs' must be an array of strings")

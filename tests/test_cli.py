@@ -2,10 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from nddc import io
 from nddc.cli import main
+from nddc.integrator import run
 from test_grid_pin import FIG3_CSV_SHA256, FIG3_JSON_SHA256
 
 
@@ -344,15 +351,17 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv, err
     assert not (tmp_path / "out").exists()
 
 
-def test_figure_fig3_grid_matches_sweep_and_pin(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_figure_fig3_grid_matches_sweep_and_pin(tmp_path, monkeypatch, threads):
     # `nddc figure fig3` and `nddc sweep` over its axes write one grid, byte for
-    # byte, and that grid is the one test_grid_pin.py pins.
+    # byte, and that grid is the one test_grid_pin.py pins, serial or pooled.
+    monkeypatch.setenv("NDDC_THREADS", threads)
     fig, swept = tmp_path / "fig", tmp_path / "sweep"
     assert main(["figure", "fig3", "--out", str(fig)]) == 0
     assert main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:3:31",
                  "--tau-range", "0:1:21", "--out", str(swept)]) == 0
-    manifest = json.loads((fig / "fig3_manifest.json").read_text())
-    assert manifest["outputs"] == [str(fig / "fig3_grid.csv"), str(fig / "fig3_grid.json")]
+    manifest = io.read_manifest(fig / "fig3_manifest.json")
+    assert manifest.outputs == [fig / "fig3_grid.csv", fig / "fig3_grid.json"]
     for suffix, digest in (("csv", FIG3_CSV_SHA256), ("json", FIG3_JSON_SHA256)):
         data = (fig / f"fig3_grid.{suffix}").read_bytes()
         assert data == (swept / f"grid.{suffix}").read_bytes()
@@ -367,6 +376,36 @@ def test_run_reaction_model_with_diagnostics(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == [str(out / name)
                                    for name in ("trajectory.csv", "ij.csv", "lyapunov.csv")]
+
+
+def test_run_diagnostics_in_two_dimensions(tmp_path):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"kind": "constant",
+                                 "values": [[1, 0], [0, 1], [-1, 0], [0, -1]]}))
+    out = tmp_path / "out"
+    assert main(["run", "--model", "transmission", "--n", "4", "--d", "2", "--tau", "0.2",
+                 "--lambda", "1", "--weights", "random-row", "--t-end", "10",
+                 "--datum", f"file:{datum}", "--diagnostics", "--out", str(out)]) == 0
+    manifest = io.read_manifest(out / "manifest.json")
+    assert [path.name for path in manifest.outputs] == ["trajectory.csv", "ij.csv",
+                                                        "lyapunov.csv"]
+    for path in [*manifest.outputs, out / "manifest.json"]:
+        assert path.stat().st_size > 0
+
+
+@pytest.mark.parametrize("lam,aborted", [("8", True), ("1", False)])
+def test_run_manifest_summary_is_the_evidence(tmp_path, lam, aborted):
+    # The summary holds every evidence field, so a manifest says at which step
+    # the divergence guard stopped the run.
+    out = tmp_path / "out"
+    assert main(["run", "--model", "two-agent-transmission", "--tau", "0.25", "--lambda", lam,
+                 "--t-end", "25", "--out", str(out)]) == 0
+    summary = io.read_manifest(out / "manifest.json").summary
+    evidence = run(io.parse_config(None, {"model": "two-agent-transmission", "tau": 0.25,
+                                          "lambda": float(lam), "t_end": 25.0})).evidence
+    assert summary.keys() == asdict(evidence).keys()
+    assert summary["abort_step"] == evidence.abort_step
+    assert (summary["abort_step"] is not None) == aborted
 
 
 def test_run_diagnostics_skips_an_inapplicable_lyapunov_monitor(tmp_path, capsys):
@@ -436,6 +475,22 @@ def test_validate_weights_builds_a_spec_at_n(tmp_path, capsys):
         "invalid weights: weight matrix size 2 does not match --n 3\n")
 
 
+def test_python_m_nddc_is_one_error_line(tmp_path):
+    # The one test that runs `python -m nddc` in its own process, through
+    # __main__.py, the exit status and the interpreter's stderr.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "nddc", "run", "--model", "two-agent-transmission",
+         "--tau", "0.25", "--steps-per-delay", "0", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: steps_per_delay must be >= 1, got 0\n"  # no traceback
+    assert not out.exists()
+
+
 def test_run_refuses_diagnostics_on_a_gap_model(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--model", "two-agent-reaction", "--tau", "0.2", "--diagnostics",
@@ -464,3 +519,9 @@ def test_a_weight_spec_takes_the_run_seed(tmp_path, capsys):
         assert main(["validate-weights", "--weights", source, "--n", "3", "--seed", "7"]) == 0
         flags.append(capsys.readouterr().out)
     assert flags[0] == flags[1]
+    # So a negative --seed is refused at the spec, as it is for a generator.
+    out = tmp_path / "out"
+    assert main(["run", "--model", "transmission", "--tau", "0.2", "--weights", str(spec),
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()

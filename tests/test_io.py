@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,22 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"config": {}, "outputs": outputs}))
         with pytest.raises(ValueError, match="^manifest 'outputs' must be an array of strings$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"summary": 5}, "manifest 'summary' must be a JSON object, got int"),
+        ({"summary": None}, "manifest 'summary' must be a JSON object, got NoneType"),
+        ({"duration_seconds": "abc"}, "manifest 'duration_seconds' must be a real number"),
+        ({"duration_seconds": None}, "manifest 'duration_seconds' must be a real number"),
+        ({"duration_seconds": -1}, "manifest 'duration_seconds' must be >= 0, got -1"),
+        ({"classification": 7}, "manifest 'classification' must be a string or null"),
+        ({"tool_version": None}, "manifest 'tool_version' must be a string"),
+    ])
+    def test_other_fields_are_checked(self, tmp_path, fields, message):
+        # These read back as given, so a summary of 5 reached the caller.
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": {}, **fields}))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             read_manifest(path)
 
     def test_tool_version_is_package_version(self, tmp_path):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from nddc.cli import main
+from nddc.io import read_manifest
 
 #: SHA-256 of each CSV that `nddc figure NAME` writes.
 FIGURE_CSV_SHA256 = {
@@ -50,8 +51,10 @@ def test_figure_outputs_are_pinned(tmp_path, capsys, name):
     assert main(["figure", name, "--out", str(tmp_path)]) == 0
     csvs = {path.name: _sha256(path.read_bytes()) for path in tmp_path.glob("*.csv")}
     assert csvs == FIGURE_CSV_SHA256[name]
-    config = json.loads((tmp_path / f"{name}_manifest.json").read_text())["config"]
-    assert _sha256(json.dumps(config, sort_keys=True).encode()) == FIGURE_CONFIG_SHA256[name]
+    manifest = read_manifest(tmp_path / f"{name}_manifest.json")
+    assert manifest.outputs == [tmp_path / csv for csv in FIGURE_CSV_SHA256[name]]
+    config = json.dumps(manifest.config, sort_keys=True).encode()
+    assert _sha256(config) == FIGURE_CONFIG_SHA256[name]
 
 
 def test_check_theorems_stdout_is_pinned(capsys):
