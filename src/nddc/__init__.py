@@ -12,7 +12,7 @@ from .core import (
     WeightMatrix,
     diameter,
 )
-from .integrator import Mesh, classify_lanes, refine_oracle, run, run_lanes
+from .integrator import Mesh, classify_lanes, refine_oracle, run
 from .weights import (
     WeightSpec,
     gamma,
@@ -43,6 +43,5 @@ __all__ = [
     "make_uniform",
     "refine_oracle",
     "run",
-    "run_lanes",
     "__version__",
 ]

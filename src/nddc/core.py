@@ -281,8 +281,10 @@ def default_horizon(tau: float) -> float:
 
 
 def check_horizon(t_target: float) -> float:
-    """``t_target``, which must be finite and positive, else ValueError."""
-    if not (math.isfinite(t_target) and t_target > 0):
+    """``t_target``, which must be a finite and positive real (not a bool), else ValueError."""
+    # NaN fails the comparison, and so does an int past the largest double.
+    if isinstance(t_target, bool) or not (isinstance(t_target, numbers.Real)
+                                          and 0 < t_target <= sys.float_info.max):
         raise ValueError(f"t_end must be finite and positive, got {t_target}")
     return t_target
 

@@ -139,8 +139,9 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
     return _assemble(config, *lane, tol_low, tol_high)
 
 
-def run_lanes(configs) -> list[Trajectory]:
-    """Run every configuration in ``configs`` as a lane of one batch.
+def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence]]:
+    """Run every configuration in ``configs`` as a lane of one batch and
+    return each lane's classification and evidence.
 
     The lanes share the model, steps_per_delay, N and d; they may differ in
     tau, lambda, t_end and the datum, which each config samples on its own mesh.
@@ -148,23 +149,10 @@ def run_lanes(configs) -> list[Trajectory]:
     delay block is m rows in every lane, so the lanes advance block by block in
     lockstep, each aborting on its own and leaving the batch at its own
     horizon; lanes at tau = 0 (an ODE step, no history window) run as a second
-    batch. A trajectory's derivatives are the D(k) the anticipation term reads.
-    Trajectory i equals ``run(configs[i])`` bit for bit. Only the two-agent
-    gap models take more than one lane. Callers that read only the verdicts
-    use ``classify_lanes``, which runs the same kernel without recording a
-    trajectory.
-    """
-    configs = list(configs)
-    return [_assemble(config, *lane) for config, lane in zip(configs, _integrate(configs, True))]
-
-
-def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence]]:
-    """The classification and evidence of each lane of ``run_lanes(configs)``.
-
-    Entry i equals ``run_lanes(configs)[i]``'s. The lanes run through the same
-    kernel, but no trajectory is built: each lane's diameter series (|x| for
-    the gap models) goes straight to ``classify_series``. Sweeps and
-    bisections read nothing else.
+    batch. Only the two-agent gap models take more than one lane. Entry i
+    equals ``run(configs[i])``'s classification and evidence. No trajectory is
+    built: each lane's diameter series (|x| for the gap models) goes straight
+    to ``classify_series``. Sweeps and bisections read nothing else.
     """
     configs = list(configs)
     return [
@@ -304,8 +292,7 @@ def _run_batch(configs, record) -> list[tuple]:
             for i, (end, abort) in enumerate(zip(tops, aborts))]
 
 
-def _assemble(config, states, slope, abort_step,
-              tol_low=TOL_LOW, tol_high=TOL_HIGH) -> Trajectory:
+def _assemble(config, states, slope, abort_step, tol_low, tol_high) -> Trajectory:
     count = len(states)
     times = np.arange(count) * config.mesh.step_size
     if states.ndim == 1:

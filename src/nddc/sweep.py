@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end, integer
+from .core import (Classification, ConstantDatum, ModelKind, SimConfig, aligned_t_end,
+                   check_horizon, integer)
 from .diagnostics import RATE_TOL, TOL_HIGH, TOL_LOW
 # ``run`` stays importable from this module for callers that time single cells.
 from .integrator import classify_lanes, run  # noqa: F401
@@ -40,7 +41,7 @@ EXTRAPOLATED = frozenset({ModelKind.TWO_AGENT_REACTION})
 class SweepSettings:
     """Per-cell run recipe for grid sweeps and boundary bisection.
 
-    ``t_end`` of None means ``default_horizon(tau)``; every horizon is
+    ``t_end``, finite and positive, or None for ``default_horizon(tau)``, is
     rounded up to the next mesh multiple. Only the two-agent reductions are
     swept (the N-agent models have no free scalar gap to classify against a
     constant datum). Every cell starts from the gap 1 and is classified with
@@ -59,6 +60,8 @@ class SweepSettings:
             raise ValueError("sweeps cover the two-agent reduction models only")
         object.__setattr__(self, "steps_per_delay",
                            integer("steps_per_delay", self.steps_per_delay, minimum=1))
+        if self.t_end is not None:
+            check_horizon(self.t_end)
 
 
 def cell_config(settings: SweepSettings, lam: float, tau: float) -> SimConfig:
@@ -116,6 +119,8 @@ class StabilityGrid:
 
 
 def _extract_boundary(tau_values: np.ndarray, column: np.ndarray) -> float:
+    order = np.argsort(tau_values, kind="stable")  # up the tau axis, in any axis order
+    tau_values, column = tau_values[order], column[order]
     converged = column == Classification.CONVERGED.value
     diverged = column == Classification.DIVERGED.value
     if not converged.any() or not diverged.any():

@@ -57,7 +57,8 @@ class TestMesh:
             assert t_end >= 100.0 - 1e-9
             Mesh.build(tau, 32, t_end)  # must not raise
 
-    @pytest.mark.parametrize("t_target", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("t_target", [math.inf, -math.inf, math.nan, 0.0, -1.0, True, "abc",
+                                          pytest.param(10**400, id="int-past-float")])
     def test_aligned_t_end_rejects_bad_target(self, t_target):
         with pytest.raises(ValueError, match="t_end must be finite and positive"):
             aligned_t_end(0.85, 32, t_target)

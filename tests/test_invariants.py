@@ -6,16 +6,19 @@ agents relabels the result. The last two hold up to rounding: the sums over
 neighbours are formed in another order, so they are compared with a stated
 tolerance of 4 * N * K * eps times the largest state entry after K steps,
 a few roundings of a length-N sum per step. The models are linear, so scaling
-the datum leaves every verdict of the fig3 grid as it is.
+the datum leaves every verdict of the fig3 grid as it is, and the run of a
+sum of two datums is the sum of their runs.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nddc.core import ConstantDatum, LinearDatum, ModelKind, SimConfig, WeightMatrix
+from nddc.harness import reaction_instance, transmission_instance
 from nddc.integrator import classify_lanes, run
 from nddc.presets import figure_preset
 from nddc.sweep import cell_config
@@ -130,3 +133,28 @@ def test_scaling_the_datum_keeps_every_fig3_verdict():
             assert [label for label, _ in classify_lanes(scaled)] == want, (tau, c)
             checked += len(cells)
     assert checked == 1860
+
+
+# Both gap models at fig1's (tau, lam) = (0.25, 1) and fig4's (0.85, 0.25), on
+# those figures' meshes, and the first three instances of each theorem suite.
+SUPERPOSED = [
+    *(replace(figure_run.config, model=model)
+      for name, lam in (("fig1", 1.0), ("fig4", 0.25))
+      for figure_run in figure_preset(name).runs if figure_run.config.lam == lam
+      for model in (ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TWO_AGENT_REACTION)),
+    *(make(seed, t_end=30.0)
+      for make in (transmission_instance, reaction_instance) for seed in range(3)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(SUPERPOSED)))
+def test_runs_superpose(k):
+    # The schemes are linear in the datum: the run of a + b is the run of a
+    # plus the run of b, up to a few roundings per step of values that stay bounded.
+    config = SUPERPOSED[k]
+    a, b = np.random.default_rng(k).uniform(-1.0, 1.0, (2, 2, config.n, config.d))
+    x_a, x_b, x_ab = (run(replace(config, datum=LinearDatum(*datum))).states
+                      for datum in (a, b, a + b))
+    assert len(x_a) == len(x_b) == len(x_ab) == config.mesh.total_steps + 1
+    scale = np.abs(x_a).max() + np.abs(x_b).max()
+    assert np.abs(x_ab - x_a - x_b).max() <= 1e-12 * scale

@@ -153,6 +153,25 @@ class TestGridSweep:
         assert any(grid.raster[i, 0] == Classification.DIVERGED.value
                    for i in range(i_above, len(tau_values)))
 
+    def test_boundary_ignores_tau_axis_order(self):
+        # The same cells listed down the tau axis, or shuffled, keep their
+        # boundary: it is read up the tau axis, not in the order given.
+        settings = SweepSettings(model=ModelKind.TWO_AGENT_REACTION, steps_per_delay=8,
+                                 t_end=60.0)
+        tau_values = np.linspace(0.5, 1.0, 6)
+        up = grid_sweep(settings, [0.0, 0.25], tau_values, workers=1)
+        assert up.boundary == pytest.approx([0.85, 0.95])
+        for order in ([5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]):
+            grid = grid_sweep(settings, [0.0, 0.25], tau_values[order], workers=1)
+            assert np.array_equal(grid.raster, up.raster[order])
+            assert np.array_equal(grid.boundary, up.boundary)
+
+    @pytest.mark.parametrize("t_end", [True, "abc", 0.0, math.inf])
+    def test_rejects_bad_horizon(self, t_end):
+        # A bool is not a horizon: True would otherwise run every cell to t = 1.
+        with pytest.raises(ValueError, match="t_end must be finite and positive"):
+            SweepSettings(model=ModelKind.TWO_AGENT_REACTION, t_end=t_end)
+
     def test_rejects_matrix_models(self):
         with pytest.raises(ValueError):
             SweepSettings(model=ModelKind.TRANSMISSION)
