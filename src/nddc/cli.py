@@ -91,9 +91,8 @@ def _cmd_run(args) -> int:
     io.write_trajectory_csv(traj, csv_path, times=times)
     outputs = [csv_path]
     if args.diagnostics:
-        report = diagnostics.track_ij(traj)
         ij_path = out / "ij.csv"
-        io.write_ij_csv(report, traj, ij_path, times=times)
+        io.write_ij_csv(traj, ij_path, times=times)
         outputs.append(ij_path)
         try:
             if config.model is ModelKind.TRANSMISSION:
@@ -150,21 +149,22 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     preset = presets.figure_preset(args.name)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     summary = {}
-    outputs = []
+    # The runs come first: the output directory is made only for a figure that succeeded.
     if preset.sweep is not None:
         grid = sweep.grid_sweep(preset.sweep.settings, preset.sweep.lam_values,
                                 preset.sweep.tau_values)
-        outputs += _write_grid(grid, out, f"{preset.name}_")
+        outputs = _write_grid(grid, out, f"{preset.name}_")
         summary["boundary"] = grid.boundary.tolist()
         config_payload = {"sweep": preset.name}
     else:
+        trajectories = [run_sim(item.config) for item in preset.runs]
+        out.mkdir(parents=True, exist_ok=True)
         config_payload = {}
+        outputs = []
         times = io.TimeColumn()
-        for item in preset.runs:
-            traj = run_sim(item.config)
+        for item, traj in zip(preset.runs, trajectories):
             path = out / f"{preset.name}_{item.label.replace('=', '')}.csv"
             io.write_trajectory_csv(traj, path, times=times)
             outputs.append(path)

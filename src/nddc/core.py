@@ -384,7 +384,8 @@ class Trajectory:
     difference (x(k) - x(k-1)) / dt, bit for bit as the scheme forms it.
     ``argmax_pairs`` holds the 1-based agent pair attaining the diameter at
     each node; for the two-agent scalar reductions the stored state is the gap
-    x1 - x2, the diameter series is |x|, and the pair is (1, 2).
+    x1 - x2, the diameter series is |x|, the pair is (1, 2), and the mean over
+    the one agent is x. Only they have N = d = 1 (a weight matrix has N >= 2).
     """
 
     config: SimConfig

@@ -100,7 +100,6 @@ class LyapunovSeries:
 class IJReport:
     """Where and when the diameter argmax pair stabilizes along a run."""
 
-    pairs: np.ndarray
     final_pair: tuple[int, int]
     stabilization_time: Optional[float]
     last_change_time: float
@@ -126,7 +125,6 @@ def track_ij(traj: Trajectory) -> IJReport:
     if len(change_indices) and last_change >= 0.75 * (count - 1):
         stabilization = None
     return IJReport(
-        pairs=pairs,
         final_pair=(int(pairs[-1, 0]), int(pairs[-1, 1])),
         stabilization_time=stabilization,
         last_change_time=last_change_time,

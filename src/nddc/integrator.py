@@ -140,38 +140,35 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
 
 
 def classify_lanes(configs) -> list[tuple[Classification, ClassificationEvidence]]:
-    """Run every configuration in ``configs`` as a lane of one batch and
-    return each lane's classification and evidence.
+    """Run every configuration in ``configs``, each of a two-agent gap model,
+    as a lane of one batch and return each lane's classification and evidence.
 
-    The lanes share the model, steps_per_delay, N and d; they may differ in
-    tau, lambda, t_end and the datum, which each config samples on its own mesh.
+    The lanes share the model and steps_per_delay; they may differ in tau,
+    lambda, t_end and the datum, which each config samples on its own mesh.
     Each lane carries its own step dt and gain lam*(dt*m). With m shared, a
     delay block is m rows in every lane, so the lanes advance block by block in
     lockstep, each aborting on its own and leaving the batch at its own
     horizon; lanes at tau = 0 (an ODE step, no history window) run as a second
-    batch. Only the two-agent gap models take more than one lane. Entry i
-    equals ``run(configs[i])``'s classification and evidence. No trajectory is
-    built: each lane's diameter series (|x| for the gap models) goes straight
-    to ``classify_series``. Sweeps and bisections read nothing else.
+    batch. Entry i equals ``run(configs[i])``'s classification and evidence.
+    No trajectory is built: each lane's |x|, its diameter series, goes straight
+    to ``classify_series``. Sweeps and bisections read nothing else; an N-agent
+    configuration is refused, and runs through ``run``.
     """
     configs = list(configs)
+    if not all(c.model.is_scalar for c in configs):
+        raise ValueError("classify_lanes takes the two-agent gap models only")
+    if len({(c.model, c.steps_per_delay) for c in configs}) > 1:
+        raise ValueError("lanes must share the model and steps_per_delay")
     return [
-        classify_series(states if states.ndim == 1 else diameter_series(states)[0],
-                        aborted=abort is not None, abort_step=abort, mesh=config.mesh)
-        for config, (states, _, abort) in zip(configs, _integrate(configs, False))
+        classify_series(states, aborted=abort is not None, abort_step=abort, mesh=config.mesh)
+        for config, (states, abort) in zip(configs, _integrate(configs, False))
     ]
 
 
 def _integrate(configs: list, record: bool) -> list[tuple]:
     # Per lane: its states from node 0 on ((N, d) per node, or for the gap
-    # models one scalar, |x| unless ``record``), its datum's slope at t = 0
-    # and its abort step (None at its horizon).
-    if not configs:
-        return []
-    if len({(c.model, c.steps_per_delay, c.n, c.d) for c in configs}) > 1:
-        raise ValueError("lanes must share the model, steps_per_delay, n and d")
-    if not configs[0].model.is_scalar and len(configs) != 1:
-        raise ValueError("N-agent models run one lane at a time")
+    # models one scalar, |x| unless ``record``) and its abort step (None at
+    # its horizon).
     lanes = [None] * len(configs)
     for delayed in (True, False):
         # Longest horizon first, so lanes that reach their horizon leave the
@@ -284,15 +281,14 @@ def _run_batch(configs, record) -> list[tuple]:
         while live and ends[live[-1]] == top:
             live.pop()
 
-    if not (record or node):
+    if not record:
         # A verdict reads a gap lane's |x| only: one pass over the history in
         # place, where a pass per lane would stride across it.
         np.abs(states, out=states)
-    return [(states[lag : end + 1, i], datum_slopes[lag, i], abort)
-            for i, (end, abort) in enumerate(zip(tops, aborts))]
+    return [(states[lag : end + 1, i], abort) for i, (end, abort) in enumerate(zip(tops, aborts))]
 
 
-def _assemble(config, states, slope, abort_step, tol_low, tol_high) -> Trajectory:
+def _assemble(config, states, abort_step, tol_low, tol_high) -> Trajectory:
     count = len(states)
     times = np.arange(count) * config.mesh.step_size
     if states.ndim == 1:
@@ -310,7 +306,7 @@ def _assemble(config, states, slope, abort_step, tol_low, tol_high) -> Trajector
     # D(k) as the kernel read it: the datum's slope at node 0, then the
     # backward difference, in the same operations, so bit for bit.
     derivs = np.empty_like(states)
-    derivs[0] = slope
+    derivs[0] = config.history[1][-1]
     np.subtract(states[1:], states[:-1], derivs[1:])
     np.divide(derivs[1:], config.mesh.step_size, derivs[1:])
     classification, evidence = classify_series(

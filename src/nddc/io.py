@@ -24,7 +24,7 @@ from .core import (
     agent_counts,
     real,
 )
-from .diagnostics import IJReport, LyapunovSeries
+from .diagnostics import LyapunovSeries
 from .sweep import StabilityGrid
 from .weights import WeightSpec
 
@@ -172,12 +172,11 @@ def parse_config(path=None, overrides: Optional[dict] = None) -> SimConfig:
 # field can hold a comma or a quote, so none is quoted.
 #
 # A value written more than once is formatted once. Time columns come from a
-# TimeColumn, which one command shares across the files it writes. A gap
-# trajectory (N = d = 1) whose X_1 is x and whose d_x is |x|, bit for bit,
-# formats x once: X_1 reuses the string, and d_x is it without a leading "-",
-# which is "%.17g" % abs(v) for every double v.
-
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+# TimeColumn, which one command shares across the files it writes. A
+# trajectory of shape (N, d) = (1, 1) is a gap run's (every weight matrix has
+# N >= 2), so its X_1 is x, its d_x is |x| and its pair is (1, 2), as
+# ``Trajectory`` states: x is formatted once, X_1 reuses the string, and d_x
+# is it without a leading "-", which is "%.17g" % abs(v) for every double v.
 
 
 def _bits(values) -> np.ndarray:
@@ -189,7 +188,7 @@ class TimeColumn:
     """The formatted times of the CSVs one command writes.
 
     A figure's runs share their mesh, an aborted run's times are a prefix of
-    it, and ij.csv's times are a prefix of trajectory.csv's. Times that are a
+    it, and ij.csv's times are trajectory.csv's. Times that are a
     bitwise prefix of the held ones reuse their strings, longer ones extend
     them, and any others replace them. Create one per command.
     """
@@ -218,17 +217,6 @@ def _write_rows(path, header: str, template: str, rows) -> None:
         fh.writelines(template % tuple(row) for row in rows)
 
 
-def _is_gap(traj: Trajectory) -> bool:
-    # N = d = 1 with X_1 = x, d_x = |x| and every pair (1, 2), as _assemble
-    # builds it.
-    if traj.states.shape[1:] != (1, 1):
-        return False
-    x = _bits(traj.states)
-    return (np.array_equal(_bits(traj.means), x)
-            and np.array_equal(_bits(traj.diameters), x & _MAGNITUDE)
-            and bool(np.all(np.asarray(traj.argmax_pairs) == (1, 2))))
-
-
 def write_trajectory_csv(traj: Trajectory, path, times: Optional[TimeColumn] = None) -> None:
     """Columns: time, per-agent coordinates, d_x, mean coordinates, argmax pair.
 
@@ -242,7 +230,7 @@ def write_trajectory_csv(traj: Trajectory, path, times: Optional[TimeColumn] = N
     header += ["argmax_i", "argmax_j"]
     header = ",".join(header) + "\r\n"
     stamps = (times if times is not None else TimeColumn()).strings(traj.times)
-    if _is_gap(traj):
+    if (n, d) == (1, 1):
         xs = map("%.17g".__mod__, traj.states.reshape(-1).tolist())
         rows = ["%s,%s,%s,%s,1,2\r\n" % (t, s, s.lstrip("-"), s) for t, s in zip(stamps, xs)]
         with open(path, "w", newline="") as fh:
@@ -303,12 +291,11 @@ def write_lyapunov_csv(series: LyapunovSeries, path) -> None:
                 "%.17g,%.17g,%.17g,%.17g\r\n", block.tolist())
 
 
-def write_ij_csv(report: IJReport, traj: Trajectory, path,
-                 times: Optional[TimeColumn] = None) -> None:
-    stamps = (times if times is not None else TimeColumn()).strings(
-        traj.times[: len(report.pairs)])
+def write_ij_csv(traj: Trajectory, path, times: Optional[TimeColumn] = None) -> None:
+    """Columns: time, argmax pair."""
+    stamps = (times if times is not None else TimeColumn()).strings(traj.times)
     _write_rows(path, "time,argmax_i,argmax_j\r\n", "%s,%d,%d\r\n",
-                zip(stamps, *np.asarray(report.pairs).T.tolist()))
+                zip(stamps, *traj.argmax_pairs.T.tolist()))
 
 
 # ---------------------------------------------------------------------------

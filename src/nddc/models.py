@@ -54,26 +54,23 @@ class OverlayCurve:
 
 
 def analytic_overlays(model: ModelKind, lam_values) -> list[OverlayCurve]:
-    """The boundary tau(lambda) of each closed-form condition on ``model``.
+    """The boundary tau(lambda) of each closed-form condition on a gap model.
 
-    Reaction models get the sufficient condition (1+lam)*tau < 1/2, and the
-    two-agent one also the no-anticipation critical delay; transmission models
-    get lam*tau = 1 (tau = inf at lam = 0), the exact two-agent boundary or
-    the N-agent guarantee.
+    The reaction gap gets the sufficient condition (1+lam)*tau < 1/2 and the
+    no-anticipation critical delay; the transmission gap gets its exact
+    boundary lam*tau = 1 (tau = inf at lam = 0).
     """
     lam_values = np.asarray(lam_values, dtype=float)
     model = ModelKind(model)
+    if not model.is_scalar:
+        raise ValueError("analytic_overlays covers the two gap models")
     if not model.is_reaction:
         positive = lam_values > 0
         tau = np.where(positive, 1.0 / np.where(positive, lam_values, 1.0), np.inf)
-        label = "two-agent-boundary" if model.is_scalar else "consensus-guarantee"
-        return [OverlayCurve(label=label, lam=lam_values, tau=tau)]
-    curves = [OverlayCurve(label="sufficient-condition", lam=lam_values,
-                           tau=1.0 / (2.0 * (1.0 + lam_values)))]
-    if model.is_scalar:
-        curves.append(OverlayCurve(
-            label="no-anticipation-critical",
-            lam=lam_values,
-            tau=np.full_like(lam_values, CRITICAL_TAU_NO_ANTICIPATION),
-        ))
-    return curves
+        return [OverlayCurve(label="two-agent-boundary", lam=lam_values, tau=tau)]
+    return [
+        OverlayCurve(label="sufficient-condition", lam=lam_values,
+                     tau=1.0 / (2.0 * (1.0 + lam_values))),
+        OverlayCurve(label="no-anticipation-critical", lam=lam_values,
+                     tau=np.full_like(lam_values, CRITICAL_TAU_NO_ANTICIPATION)),
+    ]

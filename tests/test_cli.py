@@ -334,6 +334,8 @@ def test_run_rejects_malformed_datum_flag(tmp_path, capsys, datum):
     ["run", "--model", "two-agent-reaction", "--tau", "0.25", "--t-end", "1"],
     ["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
      "--tau-range", "0.1:0.2:2", "--t-end", "1"],
+    ["figure", "fig1"],
+    ["figure", "fig3"],
 ])
 @pytest.mark.parametrize("error,message", [
     (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),

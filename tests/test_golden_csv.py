@@ -28,11 +28,10 @@ from nddc.core import (
     SimConfig,
     Trajectory,
 )
-from nddc.diagnostics import IJReport, LyapunovSeries
+from nddc.diagnostics import LyapunovSeries
 from nddc.integrator import run
 from nddc.io import (
     TimeColumn,
-    _is_gap,
     write_grid_csv,
     write_ij_csv,
     write_lyapunov_csv,
@@ -95,10 +94,9 @@ def _lyapunov() -> LyapunovSeries:
     )
 
 
-def _ij_report() -> IJReport:
-    return IJReport(pairs=np.array([[1, 2], [2, 3], [2, 3], [1, 3]]),
-                    final_pair=(1, 3), stabilization_time=None,
-                    last_change_time=0.375)
+def _ij_trajectory() -> Trajectory:
+    return dataclasses.replace(_trajectory(),
+                               argmax_pairs=np.array([[1, 2], [2, 3], [2, 3], [1, 3]]))
 
 
 GOLDEN = {
@@ -108,7 +106,7 @@ GOLDEN = {
              "72128f5a077adaebe55cbdb6a40760b82b8d2c197b49691b0bd1e08ba9bb88ed"),
     "lyapunov": (lambda path: write_lyapunov_csv(_lyapunov(), path),
                  "bba176611624ec19d4f922bfa55f8f8675898cab355ced1fb904eb99d30c34d7"),
-    "ij": (lambda path: write_ij_csv(_ij_report(), _trajectory(), path),
+    "ij": (lambda path: write_ij_csv(_ij_trajectory(), path),
            "ed13bd1e53c178e2572a3fce0e4a4616c974f06df2a8f3f90c524988237dcea0"),
 }
 
@@ -190,27 +188,17 @@ def _column(rows):
 
 @st.composite
 def _gap_trajectories(draw):
-    """N = d = 1: X_1 and d_x each either x and |x| (as runs build them) or drawn."""
+    """N = d = 1 with X_1 = x, d_x = |x| and the pair (1, 2), as runs build them."""
     rows = draw(st.integers(1, 8))
     x = draw(_column(rows))
-    derived_means, derived_diameters = draw(st.booleans()), draw(st.booleans())
-    means = x.copy() if derived_means else draw(_column(rows))
-    diameters = np.abs(x) if derived_diameters else draw(_column(rows))
-    fixed_pairs = draw(st.booleans())
-    pairs = (np.tile([1, 2], (rows, 1)) if fixed_pairs else
-             np.array(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                                    min_size=rows, max_size=rows))))
-    traj = dataclasses.replace(_trajectory(), times=draw(_column(rows)),
-                               states=x[:, None, None], diameters=diameters,
-                               means=means[:, None], argmax_pairs=pairs)
-    return traj, derived_means and derived_diameters and fixed_pairs
+    return dataclasses.replace(_trajectory(), times=draw(_column(rows)),
+                               states=x[:, None, None], diameters=np.abs(x),
+                               means=x[:, None], argmax_pairs=np.tile([1, 2], (rows, 1)))
 
 
 @given(_gap_trajectories())
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_gap_trajectory_matches_per_value_writer(case):
-    traj, derived = case
-    assert _is_gap(traj) or not derived
+def test_gap_trajectory_matches_per_value_writer(traj):
     with tempfile.TemporaryDirectory() as tmp:
         ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
         write_trajectory_csv(traj, ours)
@@ -265,10 +253,11 @@ def test_shared_time_column_matches_standalone_writes(sequence, gaps):
             write_trajectory_csv(traj, shared, times=column)
             _reference_trajectory_csv(traj, alone)
             assert shared.read_bytes() == alone.read_bytes()
-            report = dataclasses.replace(_ij_report(),
-                                         pairs=traj.argmax_pairs[: max(len(times) - 1, 0)])
-            write_ij_csv(report, traj, shared, times=column)
-            write_ij_csv(report, traj, alone)
+            rows = max(len(times) - 1, 0)
+            prefix = dataclasses.replace(traj, times=times[:rows],
+                                         argmax_pairs=traj.argmax_pairs[:rows])
+            write_ij_csv(prefix, shared, times=column)
+            write_ij_csv(prefix, alone)
             assert shared.read_bytes() == alone.read_bytes()
 
 

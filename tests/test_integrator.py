@@ -97,6 +97,18 @@ class TestInitHistory:
         assert list(traj.states[:, 0, 0]) == [0.0, -0.125, -0.375]
         assert list(traj.derivatives[:, 0, 0]) == [1.0, -0.5, -1.0]
 
+    @pytest.mark.parametrize("model", [ModelKind.TWO_AGENT_TRANSMISSION, ModelKind.TRANSMISSION])
+    def test_node_zero_derivative_is_the_slope_at_zero(self, model):
+        # A table's slopes differ row by row; node 0 records the one at t = 0.
+        n = 1 if model.is_scalar else 2
+        slopes = np.arange(1.0, 3 * n + 1).reshape(3, n, 1)
+        datum = SampledDatum(times=np.array([-0.5, -0.25, 0.0]), states=np.zeros((3, n, 1)),
+                             derivatives=slopes)
+        traj = run(SimConfig(model=model, tau=0.5, lam=1.0, datum=datum, n=n, d=1,
+                             steps_per_delay=2, t_end=1.0,
+                             weights=None if model.is_scalar else make_uniform(2)))
+        assert np.array_equal(traj.derivatives[0], slopes[-1])
+
     def test_misaligned_table_rejected(self):
         table = SampledDatum(times=np.array([-0.4, -0.15, 0.0]),
                              states=np.zeros((3, 1, 1)), derivatives=np.zeros((3, 1, 1)))

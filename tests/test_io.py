@@ -17,11 +17,10 @@ from nddc.core import (
     SampledDatum,
     SimConfig,
 )
-from nddc.diagnostics import lyap_transmission, track_ij
+from nddc.diagnostics import lyap_transmission
 from nddc.integrator import run
 from nddc.io import (
     RunManifest,
-    _is_gap,
     config_from_dict,
     config_to_dict,
     datum_from_dict,
@@ -65,13 +64,12 @@ class TestTrajectoryCsv:
 
     def test_negative_zero_gap_keeps_its_sign_in_the_mean(self, tmp_path):
         # The gap's mean is the gap itself, so a -0.0 gap writes X_1 = -0 as
-        # x_1_1 does and takes the one-string gap path.
+        # x_1_1 does, on the one-string gap path.
         cfg = SimConfig(model=ModelKind.TWO_AGENT_TRANSMISSION, tau=0.25, lam=0.5,
                         datum=ConstantDatum([[-0.0]]), n=1, d=1, steps_per_delay=4,
                         t_end=2.0)
         traj = run(cfg)
         assert np.all(np.signbit(traj.states)) and np.all(np.signbit(traj.means))
-        assert _is_gap(traj)
         path = tmp_path / "negative_zero.csv"
         write_trajectory_csv(traj, path)
         with open(path, newline="") as fh:
@@ -390,8 +388,7 @@ class TestDiagnosticsSerialization:
         assert len(rows) == len(series.values)
         assert float(rows[1]["decrement"]) == series.decrements[0]
 
-        report = track_ij(traj)
-        write_ij_csv(report, traj, tmp_path / "ij.csv")
+        write_ij_csv(traj, tmp_path / "ij.csv")
         with open(tmp_path / "ij.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(traj.times)

@@ -75,28 +75,11 @@ def straddling_lanes(model, tau, m, lam_steps):
             for lam, steps in lam_steps]
 
 
-@st.composite
-def matrix_lane(draw):
-    # One N-agent lane, at tau = 0 or delayed; large gains make the spread grow
-    # through the guard, and opinions near the float range overflow, inside a block.
-    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 2))
-    m = draw(st.sampled_from([1, 3, 8]))
-    tau = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(0.05, 1.0))
-    values = draw(st.sampled_from([1.0, 1e307])) * np.arange(n * d, dtype=float).reshape(n, d)
-    return [SimConfig(
-        model=draw(st.sampled_from([ModelKind.TRANSMISSION, ModelKind.REACTION])),
-        tau=tau, lam=draw(st.sampled_from([0.0, 0.3, 5.0, 40.0])),
-        datum=LinearDatum(values, draw(st.sampled_from([0.0, 0.7, -1.0])) * values[::-1]),
-        n=n, d=d, steps_per_delay=m, weights=make_uniform(n),
-        t_end=draw(st.integers(1, 24 * m + 3)) * (tau / m if tau > 0 else 1.0 / m),
-    )]
-
-
 # Datums near the float range overflow inside a lane's first block, as they do
 # in a run of its own.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=250, derandomize=True, deadline=None)
-@given(st.one_of(mixed_lanes(), matrix_lane()))
+@given(mixed_lanes())
 @example(straddling_lanes(ModelKind.TWO_AGENT_REACTION, 0.5, 2, [(0.5, 3), (0.0, 1)]))
 @example(straddling_lanes(ModelKind.TWO_AGENT_TRANSMISSION, 1.0, 5, [(0.5, 6), (0.5, 1)]))
 def test_verdicts_match_single_runs(configs):
@@ -169,20 +152,12 @@ def test_many_lanes_trip_in_one_block(model):
         assert_same_verdict(*verdict, traj)
 
 
-def test_matrix_models_take_one_lane():
+def test_n_agent_configs_are_refused():
     config = SimConfig(model=ModelKind.REACTION, tau=0.2, lam=0.5,
                        datum=ConstantDatum([[0.0], [1.0], [2.0]]), n=3, d=1,
                        steps_per_delay=4, t_end=2.0, weights=make_uniform(3))
-    assert_same_verdict(*classify_lanes([config])[0], run(config))
-    with pytest.raises(ValueError, match="one lane"):
-        classify_lanes([config, replace(config, lam=1.0)])
-
-
-def test_invalid_lane_rejected():
-    config = SimConfig(model=ModelKind.TWO_AGENT_REACTION, tau=0.2, lam=0.0,
-                       datum=ConstantDatum([[1.0]]), n=1, d=1, steps_per_delay=4, t_end=2.0)
-    with pytest.raises(ValueError, match="lambda"):
-        classify_lanes([replace(config, lam=0.5), replace(config, lam=float("nan"))])
+    with pytest.raises(ValueError, match="gap models only"):
+        classify_lanes([config])
 
 
 def test_lanes_must_share_model_and_steps():

@@ -113,10 +113,8 @@ def _below_critical_delay(lam, tau):
 #: Each overlay curve, by model and label, and the predicate it is the boundary of.
 OVERLAY_PREDICATES = [
     (ModelKind.TWO_AGENT_TRANSMISSION, "two-agent-boundary", theorem_transmission_condition),
-    (ModelKind.TRANSMISSION, "consensus-guarantee", theorem_transmission_condition),
     (ModelKind.TWO_AGENT_REACTION, "sufficient-condition", theorem_reaction_condition),
     (ModelKind.TWO_AGENT_REACTION, "no-anticipation-critical", _below_critical_delay),
-    (ModelKind.REACTION, "sufficient-condition", theorem_reaction_condition),
 ]
 
 
@@ -135,12 +133,10 @@ class TestOverlays:
         assert curves[0].tau[0] == np.inf
         np.testing.assert_allclose(curves[0].tau[1:], [2.0, 0.5])
 
-    def test_theorem_curves_for_matrix_models(self):
-        trans = analytic_overlays(ModelKind.TRANSMISSION, [2.0])
-        assert trans[0].tau[0] == pytest.approx(0.5)
-        react = analytic_overlays(ModelKind.REACTION, [1.0])
-        assert [c.label for c in react] == ["sufficient-condition"]
-        assert react[0].tau[0] == pytest.approx(0.25)
+    def test_n_agent_models_are_refused(self):
+        for model in (ModelKind.TRANSMISSION, ModelKind.REACTION):
+            with pytest.raises(ValueError, match="gap models"):
+                analytic_overlays(model, [1.0])
 
     @pytest.mark.parametrize("model,label,predicate", OVERLAY_PREDICATES)
     def test_curve_is_its_predicates_boundary(self, model, label, predicate):
