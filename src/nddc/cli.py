@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -139,10 +140,7 @@ def _cmd_sweep(args) -> int:
     grid = sweep.grid_sweep(settings, _parse_axis("--lambda-range", args.lambda_range),
                             _parse_axis("--tau-range", args.tau_range))
     _write_grid(grid, args.out, "")
-    counts = {}
-    for label in grid.raster.ravel():
-        counts[label] = counts.get(label, 0) + 1
-    print(f"sweep {args.model}: {counts}")
+    print(f"sweep {args.model}: {dict(Counter(grid.raster.ravel()))}")
     return 0
 
 

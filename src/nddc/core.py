@@ -13,7 +13,7 @@ import numpy as np
 
 MACHINE_EPS = float(np.finfo(float).eps)
 
-#: Abort a run once the opinion diameter exceeds this multiple of max(1, d_x(0)).
+#: Abort a run once a node's ``integrator._guard_values`` exceeds this multiple of max(1, d_x(0)).
 DIVERGENCE_GUARD = 1.0e6
 
 
@@ -290,10 +290,10 @@ def check_horizon(t_target: float) -> float:
 
 
 def aligned_t_end(tau: float, steps_per_delay: int, t_target: float) -> float:
-    """Smallest mesh-multiple horizon >= t_target, which must be finite and
-    positive (``check_horizon``), at a finite tau >= 0 (used by sweeps and presets)."""
+    """The smallest positive mesh multiple >= t_target - 1e-9 dt, for a finite and positive
+    t_target (``check_horizon``) and a finite tau >= 0 (used by sweeps and presets)."""
     dt, steps = _mesh_steps(real("tau", tau, minimum=0), steps_per_delay, t_target)
-    return math.ceil(steps - 1e-9) * dt
+    return max(1, math.ceil(steps - 1e-9)) * dt
 
 
 @dataclass(frozen=True)

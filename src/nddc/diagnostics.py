@@ -182,7 +182,7 @@ def lyap_transmission(traj: Trajectory) -> LyapunovSeries:
     if cfg.model is not ModelKind.TRANSMISSION:
         raise ValueError("transmission functional applies to the N-agent transmission model")
     weights = cfg.weights
-    if weights is None or not (weights.row_stochastic and weights.positive_off_diagonal):
+    if not weights.positive_off_diagonal:
         raise ValueError("needs row-stochastic weights with positive off-diagonals")
     if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("functional is not sign-definite for lam*tau > 1")
@@ -250,7 +250,7 @@ def lyap_reaction(traj: Trajectory) -> LyapunovSeries:
     if cfg.model is not ModelKind.REACTION:
         raise ValueError("reaction functional applies to the N-agent reaction model")
     weights = cfg.weights
-    if weights is None or not (weights.symmetric and weights.bi_stochastic):
+    if not (weights.symmetric and weights.bi_stochastic):
         raise ValueError("needs symmetric bi-stochastic weights")
     if not theorem_reaction_condition(cfg.lam, cfg.tau):
         raise ValueError("functional decay requires (1+lam)*tau < 1/2")

@@ -126,9 +126,9 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
     time through one history array whose first rows hold the datum. The two
     gap models run as N = d = 1.
 
-    Runs are aborted (classification Diverged) at the first node whose state
-    is non-finite or whose opinion diameter exceeds DIVERGENCE_GUARD times
-    max(1, d_x(0)); a node over the guard is recorded, a non-finite one is not.
+    Runs abort (Diverged) at the first node that is non-finite, which is dropped,
+    or whose ``_guard_values`` (|x| for a gap, else the spread norm, up to sqrt(d)
+    times the diameter) exceed DIVERGENCE_GUARD * max(1, d_x(0)), which is kept.
     An N-agent run whose states stop changing is filled with its last row up
     to its horizon: after a full block past the datum window whose rows and
     window are bitwise equal, every later block would rewrite the same rows.
@@ -330,7 +330,6 @@ def _assemble(config, states, abort_step, tol_low, tol_high) -> Trajectory:
 class RefineResult:
     """Step-halving convergence study (the derived-value oracle)."""
 
-    step_sizes: list
     end_state_diffs: list
     ratios: list
 
@@ -345,14 +344,12 @@ def refine_oracle(config: SimConfig, levels: int = 4) -> RefineResult:
     if levels < 2:
         raise ValueError("need at least two refinement levels")
     finals = []
-    steps = []
     for level in range(levels):
         cfg = replace(config, steps_per_delay=config.steps_per_delay * 2**level)
         traj = run(cfg)
         if traj.classification is Classification.DIVERGED:
             raise ValueError("refine_oracle rejects divergent configurations")
         finals.append(traj.states[-1])
-        steps.append(cfg.mesh.step_size)
     diffs = [
         float(np.linalg.norm(finals[i + 1] - finals[i])) for i in range(levels - 1)
     ]
@@ -360,4 +357,4 @@ def refine_oracle(config: SimConfig, levels: int = 4) -> RefineResult:
         diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf
         for i in range(levels - 2)
     ]
-    return RefineResult(step_sizes=steps, end_state_diffs=diffs, ratios=ratios)
+    return RefineResult(end_state_diffs=diffs, ratios=ratios)

@@ -138,12 +138,10 @@ def config_from_dict(payload) -> SimConfig:
     # n and d are judged first: the weight spec and the datum's scalars fill them.
     n, d = agent_counts(payload.get("n", 1 if model.is_scalar else 2), payload.get("d", 1))
     weights = payload.get("weights")
-    if weights is not None:
-        # A gap model takes no weights, so its spec takes neither n nor seed.
-        weights = (weights_from_dict(weights) if model.is_scalar
-                   else weights_from_dict(weights, n, payload.get("seed")))
-    elif not model.is_scalar:
-        weights = WeightSpec(kind="uniform", n=n).build()
+    # A gap model takes no weights, so SimConfig refuses its payload unparsed.
+    if not model.is_scalar:
+        weights = (weights_from_dict(weights, n, payload.get("seed")) if weights is not None
+                   else WeightSpec(kind="uniform", n=n).build())
     datum = datum_from_dict(payload.get("datum", {"kind": "constant", "values": 1.0}), n, d)
     given = {CONFIG_KEYS[key]: value for key, value in payload.items()}
     return SimConfig(**{"lam": 0.0, **given, "model": model, "n": n, "d": d,

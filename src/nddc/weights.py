@@ -31,19 +31,14 @@ def make_random_row_stochastic(n: int, min_off_diagonal: float, seed: int) -> We
     floor = float(min_off_diagonal)
     if not 0.0 < floor <= 1.0 / (n - 1) + 1e-15:
         raise ValueError(f"min_off_diagonal must lie in (0, 1/(N-1)] = (0, {1.0 / (n - 1)}]")
-    rng = np.random.default_rng(seed)
-    w = np.zeros((n, n))
+    excess = np.random.default_rng(seed).uniform(floor, 1.0, size=(n, n - 1)) - floor
+    total = excess.sum(axis=1, keepdims=True)
     slack = 1.0 - (n - 1) * floor
-    for i in range(n):
-        draw = rng.uniform(floor, 1.0, size=n - 1)
-        excess = draw - floor
-        total = excess.sum()
-        if slack <= 0.0 or total == 0.0:
-            row = np.full(n - 1, floor)
-        else:
-            row = floor + (slack / total) * excess
-        w[i, :i] = row[:i]
-        w[i, i + 1 :] = row[i:]
+    # A row with no slack or no excess stays at the floor.
+    spread = (slack > 0.0) & (total > 0.0)
+    w = np.zeros((n, n))
+    w[~np.eye(n, dtype=bool)] = np.where(
+        spread, floor + (slack / np.where(spread, total, 1.0)) * excess, floor).ravel()
     return WeightMatrix(w)
 
 

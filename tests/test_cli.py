@@ -115,6 +115,15 @@ def test_sweep_writes_grid(tmp_path):
     assert (out / "grid.json").exists()
 
 
+def test_sweep_runs_a_horizon_under_one_step(tmp_path, capsys):
+    # t_end = 1e-12 is rounded up to one step of each tau, not down to 0.
+    out = tmp_path / "out"
+    assert main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
+                 "--tau-range", "0.5:1:2", "--t-end", "1e-12", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "sweep two-agent-reaction: {'inconclusive': 4}\n"
+    assert len((out / "grid.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NDDC_THREADS", "abc")
     code = main(["sweep", "--model", "two-agent-reaction", "--lambda-range", "0:1:2",
@@ -246,6 +255,9 @@ GAP_CONFIG = {"model": "two-agent-transmission", "tau": 0.25, "t_end": 1.0}
           "weights": {"kind": "uniform", "n": 2},
           "datum": {"kind": "constant", "values": [[1, 0], [0, 1], [-1, 0]]}},
      "datum shape (3, 2) does not match (2, 1)"),
+    # A gap model's weights are refused as given, not parsed first.
+    ([], {**GAP_CONFIG, "weights": {"kind": "nope"}},
+     "two-agent-transmission takes n = d = 1 and no weights"),
 ])
 def test_run_rejects_invalid_input(tmp_path, capsys, flags, config, message):
     # Each of these crashed with a traceback or ran a different system.

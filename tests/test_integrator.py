@@ -57,6 +57,10 @@ class TestMesh:
             assert t_end >= 100.0 - 1e-9
             Mesh.build(tau, 32, t_end)  # must not raise
 
+    def test_aligned_t_end_is_at_least_one_step(self):
+        # A positive target under the 1e-9-step tolerance used to round down to 0.
+        assert aligned_t_end(0.5, 32, 1e-12) == 0.5 / 32
+
     @pytest.mark.parametrize("t_target", [math.inf, -math.inf, math.nan, 0.0, -1.0, True, "abc",
                                           pytest.param(10**400, id="int-past-float")])
     def test_aligned_t_end_rejects_bad_target(self, t_target):

@@ -1,6 +1,7 @@
 """Weight generator and structural flag tests."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ class TestRandomRowStochastic:
             n = int(np.random.default_rng(seed).integers(2, 9))
             wm = make_random_row_stochastic(n, 0.3 / (n - 1), seed)
             assert wm.row_stochastic and wm.positive_off_diagonal and wm.irreducible
+
+    def test_bits_are_pinned(self):
+        # Every matrix of these 330 draws, saturated floors included, bit for bit.
+        digest = hashlib.sha256()
+        for n in range(2, 13):
+            for seed in range(10):
+                for floor in (0.5 / (n - 1), 1.0 / (n - 1), 1e-3):
+                    digest.update(make_random_row_stochastic(n, floor, seed).weights.tobytes())
+        assert digest.hexdigest() == (
+            "6da0371412d8bd3ea39b20cc2e7f01ab9e129e137ce86c9abe7624ee3bd579b2")
 
 
 class TestRandomSymmetricBistochastic:
