@@ -13,7 +13,7 @@ import numpy as np
 
 MACHINE_EPS = float(np.finfo(float).eps)
 
-#: Abort a run once a node's ``integrator._guard_values`` exceeds this multiple of max(1, d_x(0)).
+#: Abort a run once a node's max |x| exceeds this multiple of max(1, M) (``integrator.run``).
 DIVERGENCE_GUARD = 1.0e6
 
 

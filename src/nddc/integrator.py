@@ -19,6 +19,9 @@ from .core import (
 )
 from .diagnostics import TOL_HIGH, TOL_LOW, classify_series
 
+# Every guard's cap, which an infinite node exceeds however large the datum.
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def _pairwise(weights: np.ndarray, targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     # Sum_j w_ij (targets_j - anchors_i) for (..., N, d) stacks of nodes, with
@@ -106,18 +109,6 @@ def _block_advance(config: SimConfig, dts: np.ndarray, delayed: bool):
     return advance
 
 
-def _guard_values(states: np.ndarray) -> np.ndarray:
-    """The (count, L) values of a block of states held against the guard."""
-    if states.ndim == 2:
-        return np.abs(states)
-    # Euclidean norm of per-coordinate ranges: an upper bound on the diameter
-    # within a factor sqrt(d), so the guard can only fire earlier than the
-    # exact diameter would. The stacked product evaluates each row as np.dot.
-    spread = states.max(axis=2) - states.min(axis=2)
-    rows = spread.reshape(-1, spread.shape[-1])
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0]).reshape(spread.shape[:2])
-
-
 def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH) -> Trajectory:
     """Integrate one configuration and classify the resulting trajectory.
 
@@ -127,8 +118,9 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
     gap models run as N = d = 1.
 
     Runs abort (Diverged) at the first node that is non-finite, which is dropped,
-    or whose ``_guard_values`` (|x| for a gap, else the spread norm, up to sqrt(d)
-    times the diameter) exceed DIVERGENCE_GUARD * max(1, d_x(0)), which is kept.
+    or whose largest |coordinate| exceeds DIVERGENCE_GUARD * max(1, M), capped at
+    the largest double, which is kept. M is the datum's largest |state| or |slope|
+    on [-tau, 0], as in the a-priori bound sup |x_i| <= (1 + lam*tau) M.
     An N-agent run whose states stop changing is filled with its last row up
     to its horizon: after a full block past the datum window whose rows and
     window are bitwise equal, every later block would rewrite the same rows.
@@ -186,11 +178,10 @@ def _run_batch(configs, record) -> list[tuple]:
     # non-increasing horizon, and hold (N, d) states; the gap models keep one
     # scalar per node.
     config = configs[0]
-    shape = (config.n, config.d)
     datums = [c.history for c in configs]
     m = config.steps_per_delay
     lag = len(datums[0][0]) - 1
-    node = () if config.model.is_scalar else shape
+    node = () if config.model.is_scalar else (config.n, config.d)
     per_lane = (-1,) + (1,) * len(node)
     dts = np.array([c.mesh.step_size for c in configs]).reshape(per_lane)
     advance = _block_advance(config, dts, lag > 0)
@@ -204,11 +195,13 @@ def _run_batch(configs, record) -> list[tuple]:
     datum_slopes = np.stack([d for _, d in datums], axis=1).reshape(head)
     states = np.empty((ends[0] + 1,) + head[1:])
     states[: lag + 1] = datum_states
-    x0 = datum_states[lag]
-    guards = DIVERGENCE_GUARD * np.maximum(1.0, diameter_series(x0)[0] if node else np.abs(x0))
-    # The block check holds every lane to the lowest guard (each lane's own
-    # when the lanes share their datum); only a block that trips it is searched,
-    # in one pass, for each lane's first node over its own guard.
+    # Each lane's guard is run()'s, from its own datum. The block check holds
+    # every lane's max |x| to the lowest guard (each lane's own when the lanes
+    # share their datum); only a block that trips it is searched, in one pass,
+    # for each lane's first node over its own guard.
+    datum = np.abs(np.concatenate([datum_states, datum_slopes]))
+    scales = datum.reshape(2 * lag + 2, len(configs), -1).max(axis=(0, 2)).tolist()
+    guards = np.array([min(DIVERGENCE_GUARD * max(1.0, scale), _FLOAT_MAX) for scale in scales])
     guard = guards.min()
     # lam * tau on the mesh, one gain per lane.
     gains = np.array([c.lam for c in configs]).reshape(per_lane) * (dts * m)
@@ -248,24 +241,20 @@ def _run_batch(configs, record) -> list[tuple]:
         new = slab[1:]
         if not isinstance(cols, slice):
             states[rows, cols] = new  # fancy indexing computed the block in a copy
-        # NaN fails the comparisons, so this also catches non-finite nodes
-        # (a non-finite state has a non-finite guard value). An N-agent
-        # spread norm is at most 2 sqrt(d) max|x|, so a block within
-        # 4 d max|x| <= guard (a factor of 2 spare for rounding) needs no spreads.
-        if not (node and 4 * shape[1] * np.abs(new).max() <= guard):
-            values = _guard_values(new)
-            if not values.max() <= guard:
-                # One pass over the block: each lane's first node over its own
-                # guard, if any; only the lanes that tripped are visited.
-                tripped = ~(values <= guards[cols])
-                first = tripped.argmax(axis=0)
-                hit = tripped.any(axis=0).tolist()
-                for i in np.flatnonzero(hit).tolist():
-                    lane, f = live[i], int(first[i])
-                    aborts[lane] = top - lag + 1 + f
-                    # A node over the guard is recorded, a non-finite one is not.
-                    tops[lane] = top + f + bool(np.isfinite(new[f, i]).all())
-                live = [lane for lane, gone in zip(live, hit) if not gone]
+        # NaN fails the comparison, so this also catches non-finite nodes.
+        if not np.abs(new).max() <= guard:
+            values = np.abs(new).reshape(count, len(live), -1).max(axis=2)
+            # One pass over the block: each lane's first node over its own
+            # guard, if any; only the lanes that tripped are visited.
+            tripped = ~(values <= guards[cols])
+            first = tripped.argmax(axis=0)
+            hit = tripped.any(axis=0).tolist()
+            for i in np.flatnonzero(hit).tolist():
+                lane, f = live[i], int(first[i])
+                aborts[lane] = top - lag + 1 + f
+                # A node over the guard is recorded, a non-finite one is not.
+                tops[lane] = top + f + bool(np.isfinite(new[f, i]).all())
+            live = [lane for lane, gone in zip(live, hit) if not gone]
         if node and live and count == m and top >= 2 * lag:
             # After a full block that read no datum slopes: if rows top - lag ..
             # top + m are bitwise equal, every later block reads this window

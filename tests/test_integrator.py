@@ -278,46 +278,74 @@ class TestRun:
             assert traj.diameters[k] == pytest.approx(best, rel=1e-14, abs=1e-300)
 
 
-def _spread_config(d, scale):
-    # Two agents at consensus at t = 0, so the guard is DIVERGENCE_GUARD itself,
-    # with histories +-scale * t. Symmetric weights keep them at +-y in every
-    # coordinate, so each node's spread norm is 2 y sqrt(d) and grows with scale.
-    slope = np.array([[scale] * d, [-scale] * d])
-    return SimConfig(model=ModelKind.REACTION, tau=0.5, lam=0.0, n=2, d=d,
-                     datum=LinearDatum(np.zeros((2, d)), slope), steps_per_delay=4,
-                     t_end=1.0, weights=make_uniform(2))
+def _scaled_config(model, scale):
+    # A diverging run (lambda * tau = 10) from a datum whose states and slopes
+    # are at most ``scale`` in size, so for scale <= 1 the guard is
+    # DIVERGENCE_GUARD itself and every node grows with scale.
+    n, d = (1, 1) if model.is_scalar else (3, 2)
+    shape = np.array([[1.0, -0.5], [-1.0, 0.25], [0.5, 0.75]])[:n, :d]
+    return SimConfig(model=model, tau=0.5, lam=20.0, n=n, d=d,
+                     datum=LinearDatum(scale * shape, scale * shape[::-1]), steps_per_delay=4,
+                     t_end=5.0, weights=None if model.is_scalar else make_uniform(n))
 
 
-def _guard_flip(d):
+def _guard_flip(model):
     # Adjacent doubles lo < hi: the run at scale lo stays within the guard and
     # the run at hi aborts (bisection on the ordered bit patterns).
-    lo, hi = (int(bits) for bits in np.array([1.0, 1e12]).view(np.int64))
+    lo, hi = (int(bits) for bits in np.array([1e-100, 1.0]).view(np.int64))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if reference_run(_spread_config(d, float(np.int64(mid).view(np.float64))))[5] is None:
+        if reference_run(_scaled_config(model, float(np.int64(mid).view(np.float64))))[5] is None:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_guard_at_spread_norm_within_ulps(d):
-    flip = _guard_flip(d)
+@pytest.mark.parametrize("model", [ModelKind.TWO_AGENT_REACTION, ModelKind.TRANSMISSION,
+                                   ModelKind.REACTION], ids=lambda model: model.value)
+def test_guard_at_max_abs_within_ulps(model):
+    flip = _guard_flip(model)
     sizes = []
     for offset in range(-3, 5):
-        config = _spread_config(d, float(np.int64(flip + offset).view(np.float64)))
+        config = _scaled_config(model, float(np.int64(flip + offset).view(np.float64)))
         states, _, _, _, _, abort_step = reference_run(config)
         traj = run(config)
         assert np.array_equal(traj.states, states)
         assert traj.evidence.abort_step == abort_step
         assert (abort_step is None) == (offset <= 0)
-        spread = states.max(axis=1) - states.min(axis=1)
-        sizes.append(np.sqrt(np.einsum("tk,tk->t", spread, spread)).max())
-    # The largest spread norm runs within a few ulps of the guard on both sides.
+        sizes.append(np.abs(states).max())
+        # A run aborts exactly when a recorded coordinate passes the guard.
+        assert (abort_step is None) == (sizes[-1] <= DIVERGENCE_GUARD)
+    # The largest |x| runs within a few ulps of the guard on both sides.
     ulp = np.spacing(DIVERGENCE_GUARD)
     assert DIVERGENCE_GUARD - 8 * ulp <= sizes[0] <= sizes[3] <= DIVERGENCE_GUARD
     assert DIVERGENCE_GUARD < sizes[4] <= sizes[-1] <= DIVERGENCE_GUARD + 8 * ulp
+
+
+def _common_mode_config(weights, lam_tau, t_end):
+    # Off-diagonal row sums of 1 make nu = 1 an eigenvalue of the transmission
+    # weights: the common mode x_i = c, whose root leaves the unit circle once
+    # lam * tau > 1, while every difference between agents decays.
+    return SimConfig(model=ModelKind.TRANSMISSION, tau=0.5, lam=lam_tau / 0.5, n=6, d=1,
+                     datum=ConstantDatum(np.linspace(-1.0, 1.0, 6)[:, None] + 1.0),
+                     steps_per_delay=32, t_end=t_end, weights=weights)
+
+
+@pytest.mark.parametrize("weights", [make_uniform(6), make_random_row_stochastic(6, 0.1, seed=1)],
+                         ids=["uniform", "random-row"])
+def test_growing_common_mode_diverges_at_every_horizon(weights):
+    # The common mode grows while the diameter decays, so only a guard on
+    # max |x| sees it: it stops both runs at one step (9070 uniform, 9074
+    # random-row), whatever the horizon past it. At T = 100 the mode is still
+    # below the guard, so that verdict needs the envelope rate of max |x|.
+    aborts = set()
+    for t_end in (200.0, 400.0, 1000.0):
+        traj = run(_common_mode_config(weights, 1.2, t_end))
+        assert traj.classification is Classification.DIVERGED
+        aborts.add(traj.evidence.abort_step)
+        assert run(_common_mode_config(weights, 0.99, t_end)).classification is Classification.CONVERGED
+    assert len(aborts) == 1 and None not in aborts
 
 
 class TestFrozenOracle:

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nddc.core import ConstantDatum, LinearDatum, ModelKind, SimConfig, WeightMatrix
@@ -120,9 +120,40 @@ def test_relabelling_agents_relabels_the_result(config, random):
     assert np.abs(other.derivatives - traj.derivatives[:, order]).max() <= tol
 
 
+# Datum scales, drawn apart for the states and the slopes.
+SCALES = [1.0, 1e3, 1e8, 1e50, 1e100]
+
+
+@st.composite
+def guaranteed_transmission_runs(draw):
+    # Inside the transmission guarantee lam*tau <= 1, where the a-priori bound
+    # sup |x_i| <= (1 + lam*tau) M holds, M the datum's largest |state| or |slope|.
+    n, d = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = draw(meshes())
+    lam_tau, tau = draw(st.floats(0.0, 1.0)), mesh["tau"]
+    start = draw(st.sampled_from(SCALES)) * rng.uniform(-1, 1, (n, d))
+    slope = draw(st.sampled_from(SCALES)) * rng.uniform(-1, 1, (n, d))
+    return SimConfig(model=ModelKind.TRANSMISSION, lam=lam_tau / tau if tau else lam_tau,
+                     n=n, d=d, datum=LinearDatum(start, slope),
+                     weights=make_random_row_stochastic(n, 0.05, seed=int(rng.integers(1000))), **mesh)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(guaranteed_transmission_runs())
+@example(SimConfig(model=ModelKind.TRANSMISSION, tau=0.3, lam=0.2, n=3, d=1,
+                   datum=LinearDatum(np.zeros((3, 1)), 1e8 * np.array([[1.0], [-1.0], [0.5]])),
+                   steps_per_delay=32, t_end=3.0, weights=make_uniform(3)))
+def test_guard_is_silent_under_the_apriori_bound(config):
+    # The guard scales with M, so it never stops a run that the bound keeps
+    # within 2 M, however large the datum's slopes are against its states.
+    assert not run(config).evidence.aborted
+
+
 def test_scaling_the_datum_keeps_every_fig3_verdict():
-    # Not so by construction: the divergence guard and the trailing-peak rule
-    # measure d_x against max(1, d_x(0)), which does not scale with the datum.
+    # Not so by construction: the divergence guard measures |x| against
+    # max(1, M) and the trailing-peak rule d_x against max(1, d_x(0)), and
+    # neither floor of 1 scales with the datum.
     job = figure_preset("fig3").sweep
     checked = 0
     for tau in job.tau_values[job.tau_values > 0].tolist():

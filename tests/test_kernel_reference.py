@@ -11,7 +11,7 @@ recorded derivatives included, bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nddc import harness
@@ -36,11 +36,10 @@ def reference_run(config):
     dt, m, model = mesh.step_size, mesh.steps_per_delay, config.model
     states, derivs = (list(a) for a in config.datum.on_mesh(mesh.datum_times))
     lag = len(states) - 1  # list index of node k is k + lag
-    x0 = states[-1]
-    if model.is_scalar:
-        guard = DIVERGENCE_GUARD * max(1.0, abs(float(x0[0, 0])))
-    else:
-        guard = DIVERGENCE_GUARD * max(1.0, float(diameter_series(x0[None])[0][0]))
+    # The datum's largest |state| or |slope|, and a guard capped at the largest double.
+    scale = float(np.abs([states, derivs]).max())
+    guard = min(DIVERGENCE_GUARD * max(1.0, scale), np.finfo(float).max)
+    if not model.is_scalar:
         trans = model is ModelKind.TRANSMISSION
         w = config.weights.off_diagonal() if trans else config.weights.weights
         eye = np.eye(config.n)
@@ -74,9 +73,7 @@ def reference_run(config):
             break
         states.append(new)
         derivs.append((new - x) / dt)
-        spread = new.max(axis=0) - new.min(axis=0)
-        size = abs(float(new[0, 0])) if model.is_scalar else float(np.sqrt(np.dot(spread, spread)))
-        if size > guard:
+        if np.abs(new).max() > guard:
             abort_step = n + 1
             break
     states, derivs = np.array(states[lag:]), np.array(derivs[lag:])
@@ -97,7 +94,7 @@ def configs(draw):
     steps = draw(st.integers(1, 4 * m + 7))
     n, d = (1, 1) if model.is_scalar else (draw(st.integers(2, 8)), draw(st.integers(1, 3)))
     # Large datums and slopes drive runs into the divergence guard or overflow.
-    start_scale = draw(st.sampled_from([1.0, 1e3, 1e300]))
+    start_scale = draw(st.sampled_from([1.0, 1e3, 1e300, 1e303]))
     slope_scale = draw(st.sampled_from([0.0, 1.0, 1e8, 1e12, 1e300, 1e308]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = None
@@ -114,9 +111,30 @@ def configs(draw):
     )
 
 
+def _overflowing(model):
+    # A datum near the largest double: DIVERGENCE_GUARD times its scale is
+    # past it, so only the capped guard stops the run at its first infinite node.
+    n = 1 if model.is_scalar else 2
+    return SimConfig(model=model, tau=0.5, lam=3.0, n=n, d=1,
+                     datum=ConstantDatum(np.array([[1e303], [-1e303]])[:n]), steps_per_delay=4,
+                     t_end=40.0, weights=None if model.is_scalar else make_uniform(2))
+
+
+# A datum at rest whose slopes alone set the guard: node 1 is 3.1e6, over a
+# guard taken from the states (1e6) and far under the slopes' (1e14).
+SLOPES_ONLY = SimConfig(
+    model=ModelKind.TWO_AGENT_REACTION, tau=0.5, lam=0.25, n=1, d=1,
+    datum=SampledDatum(np.linspace(-0.5, 0.0, 5), np.zeros((5, 1, 1)), np.full((5, 1, 1), 1e8)),
+    steps_per_delay=4, t_end=5.0,
+)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(configs())
+@example(_overflowing(ModelKind.TWO_AGENT_REACTION))
+@example(_overflowing(ModelKind.REACTION))
+@example(SLOPES_ONLY)
 def test_run_matches_per_step_reference(config):
     states, derivs, diameters, pairs, label, abort_step = reference_run(config)
     traj = run(config)

@@ -123,21 +123,21 @@ def test_fig3_row_freezes_its_aborted_lanes():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("model", GAP_MODELS)
 def test_many_lanes_trip_in_one_block(model):
-    # 31 lanes on one horizon under three datums, so three guards. Lane 3's
-    # datum overflows at the first node; lanes 5 and 9 cross their guard at
-    # the last node of the first block (one in each model), and the others
-    # diverge in twos and threes per block after lane 3 has left the middle of
-    # the batch.
+    # 31 lanes on one horizon under three datums whose largest |state| or
+    # |slope| differ, so three guards. Lane 3's datum overflows at the first
+    # node; lanes 5 and 9 cross their guard inside the first block, one of
+    # them at its last node in each model, and the others diverge three or
+    # more to a block after lane 3 has left the middle of the batch.
     m = 4
     base = SimConfig(model=model, tau=0.5, lam=0.0, datum=ConstantDatum([[1.0]]), n=1, d=1,
                      steps_per_delay=m, t_end=20.0)
     datums = [ConstantDatum([[1.0]]), LinearDatum([[-3.0]], [[2.0]]),
-              LinearDatum([[0.5]], [[-0.7]])]
+              LinearDatum([[0.5]], [[-3.0]])]
     configs = [replace(base, lam=float(lam), datum=datums[i % 3])
                for i, lam in enumerate(np.linspace(30.0, 0.0, 31))]
     configs[3] = replace(configs[3], datum=LinearDatum([[1e300]], [[1e308]]))
-    configs[5] = replace(configs[5], lam=2.0, datum=LinearDatum([[1.0]], [[1.6e6]]))
-    configs[9] = replace(configs[9], lam=2.0, datum=LinearDatum([[1.0]], [[4e6]]))
+    configs[5] = replace(configs[5], lam=2.5e6, datum=LinearDatum([[1.0]], [[1.0]]))
+    configs[9] = replace(configs[9], lam=6e6, datum=LinearDatum([[1.0]], [[1.0]]))
     verdicts = classify_lanes(configs)
     alone = [run(config) for config in configs]
     steps = [evidence.abort_step for _, evidence in verdicts]
@@ -147,7 +147,7 @@ def test_many_lanes_trip_in_one_block(model):
     blocks = [(step - 1) // m for step in steps if step is not None]
     assert max(blocks.count(b) for b in set(blocks) - {0}) >= 3
     assert sum(step is None for step in steps) >= 2
-    assert len({max(1.0, abs(traj.states[0, 0, 0])) for traj in alone}) >= 3
+    assert len({max(1.0, float(np.abs(config.history).max())) for config in configs}) >= 3
     for verdict, traj in zip(verdicts, alone):
         assert_same_verdict(*verdict, traj)
 
