@@ -13,7 +13,7 @@ import numpy as np
 
 MACHINE_EPS = float(np.finfo(float).eps)
 
-#: Abort a run once a node's max |x| exceeds this multiple of max(1, M) (``integrator.run``).
+#: Abort a run at a node whose max |x| exceeds this times max(1, M) (``integrator.run``).
 DIVERGENCE_GUARD = 1.0e6
 
 
@@ -52,22 +52,16 @@ SUM_TOL = 1e-12
 
 
 def _strongly_connected(adjacency: np.ndarray) -> bool:
-    """Strong connectivity of the digraph with an edge i -> j iff adjacency[i, j]."""
-
-    def reaches_all(adj: np.ndarray) -> bool:
-        n = adj.shape[0]
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(adj[node])[0]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(int(nxt))
-        return bool(seen.all())
-
-    return reaches_all(adjacency) and reaches_all(adjacency.T)
+    """Strong connectivity of the digraph with an edge i -> j iff adjacency[i, j]:
+    node 0 reaches every node along the edges and along the reversed edges."""
+    for adj in (adjacency, adjacency.T):
+        seen = frontier = np.arange(adj.shape[0]) == 0
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def _frozen(values, ndmin: int = 0) -> np.ndarray:
@@ -420,7 +414,9 @@ def diameter(state) -> tuple[float, tuple[int, int]]:
 
 def diameter_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diameters and 1-based argmax pairs of a (T, N >= 2, d) stack, over the pairs
-    i < j in lexicographic order, so ties (and NaN) go to the smallest (i, j)."""
+    i < j in lexicographic order, so ties (and NaN) go to the smallest (i, j). Past
+    |x| = 2^500, where a square could overflow, a chunk's nodes are each scaled
+    exactly by the power of two of their largest |x|, and their distances back."""
     states = np.asarray(states, dtype=float)
     t_total, n, d = states.shape
     first, second = np.triu_indices(n, 1)
@@ -429,10 +425,15 @@ def diameter_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     chunk = max(1, 65536 // max(1, len(first) * d))
     for s in range(0, t_total, chunk):
         block = states[s : s + chunk]
+        exps = 0
+        # Under 2^500 no square overflows, and the per-node max would cost as much as the rest.
+        if np.abs(block).max() > 2.0**500:
+            exps = np.frexp(np.abs(block).max(axis=(1, 2), keepdims=True))[1]
+            block = np.ldexp(block, -exps)
         diff = np.take(block, first, axis=1) - np.take(block, second, axis=1)
         d2 = np.einsum("tpk,tpk->tp", diff, diff)
         idx = d2.argmax(axis=1)
-        dists[s : s + chunk] = np.sqrt(d2[np.arange(len(block)), idx])
+        dists[s : s + chunk] = np.ldexp(np.sqrt(d2[np.arange(len(block)), idx]), np.ravel(exps))
         pairs[s : s + chunk, 0] = first[idx] + 1
         pairs[s : s + chunk, 1] = second[idx] + 1
     return dists, pairs

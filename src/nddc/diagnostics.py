@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -93,7 +93,6 @@ class LyapunovSeries:
     tolerance: float
     violations: int
     worst_margin: float
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -141,7 +140,7 @@ def _monitor_mesh(traj: Trajectory) -> tuple[int, float, int]:
 
 
 def _lyapunov_series(traj: Trajectory, nodes: np.ndarray, values: np.ndarray,
-                     bounds: np.ndarray, params: dict) -> LyapunovSeries:
+                     bounds: np.ndarray) -> LyapunovSeries:
     # The functional at ``nodes`` checked against the bounds on its decrements.
     decrements = np.diff(values)
     tolerance = LYAPUNOV_TOL_SCALE * (1.0 + abs(values[0]))
@@ -154,7 +153,6 @@ def _lyapunov_series(traj: Trajectory, nodes: np.ndarray, values: np.ndarray,
         tolerance=tolerance,
         violations=int(np.sum(margins > tolerance)),
         worst_margin=float(margins.max()) if len(margins) else float("-inf"),
-        params=params,
     )
 
 
@@ -189,8 +187,7 @@ def lyap_transmission(traj: Trajectory) -> LyapunovSeries:
     m, dt, total = _monitor_mesh(traj)
 
     report = track_ij(traj)
-    pair, t0 = report.final_pair, report.last_change_time
-    i, k = pair[0] - 1, pair[1] - 1
+    i, k = report.final_pair[0] - 1, report.final_pair[1] - 1
 
     lt = cfg.lam * cfg.tau
     gam = gamma(weights)
@@ -201,7 +198,7 @@ def lyap_transmission(traj: Trajectory) -> LyapunovSeries:
     dsq = traj.diameters**2
     psi = np.einsum("ij,tjd->tid", weights.off_diagonal(), states)
 
-    n0 = max(2 * m, int(np.ceil(t0 / dt - 1e-9)))
+    n0 = max(2 * m, int(np.ceil(report.last_change_time / dt - 1e-9)))
     if n0 >= total:
         raise ValueError("no steps left after the stabilization time")
     nodes = np.arange(n0, total + 1)
@@ -211,14 +208,7 @@ def lyap_transmission(traj: Trajectory) -> LyapunovSeries:
     b_part = kappa * gam**2 * dt * _windowed_sum(dsq, m, nodes)
     values = a_part + b_part
     bounds = -coeff * dsq[nodes[1:]] * dt
-    return _lyapunov_series(traj, nodes, values, bounds, {
-        "gamma": gam,
-        "kappa": kappa,
-        "decay_coefficient": coeff,
-        "pair_i": pair[0],
-        "pair_k": pair[1],
-        "start_time": float(traj.times[n0]),
-    })
+    return _lyapunov_series(traj, nodes, values, bounds)
 
 
 def _phi_and_dissimilarity(states: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,13 +276,7 @@ def lyap_reaction(traj: Trajectory) -> LyapunovSeries:
         0.5 * (delta - 1.0) * d_series[nodes[1:] - m]
         + 0.5 * tau * d_series[nodes[1:] + 1 - m]
     )
-    return _lyapunov_series(traj, nodes, values, bounds, {
-        "epsilon": 2.0 * lam,
-        "delta": delta,
-        "phi_coefficient": c_phi,
-        "double_integral_coefficient": 0.5,
-        "decay_coefficient": reaction_decay_coefficient(lam, tau),
-    })
+    return _lyapunov_series(traj, nodes, values, bounds)
 
 
 @dataclass
@@ -312,7 +296,8 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     The recorded derivatives are ``traj.derivatives``: the datum's slope at
     t = 0, then the backward differences the scheme reads. M is the largest
     agent-wise Euclidean norm of the datum's states and derivatives on
-    [-tau, 0]. Applies to transmission runs with lam*tau <= 1.
+    [-tau, 0], not the guard's largest |coordinate|; each norm is taken exactly
+    rescaled by a power of two. Applies to transmission runs with lam*tau <= 1.
     """
     cfg = traj.config
     if cfg.model is not ModelKind.TRANSMISSION:
@@ -320,15 +305,16 @@ def apriori_bounds(traj: Trajectory) -> AprioriBounds:
     if not theorem_transmission_condition(cfg.lam, cfg.tau):
         raise ValueError("a-priori bounds need lam*tau <= 1")
     lt = cfg.lam * cfg.tau
-    d_states, d_derivs = cfg.history
-    big_m = max(
-        float(np.linalg.norm(d_states, axis=2).max()),
-        float(np.linalg.norm(d_derivs, axis=2).max()),
-    )
+
+    def sup_norm(stack: np.ndarray) -> float:
+        exp = np.frexp(np.abs(stack).max())[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(stack, -exp), axis=2).max(), exp))
+
+    big_m = max(sup_norm(cfg.history[0]), sup_norm(cfg.history[1]))
     state_bound = (1.0 + lt) * big_m
     deriv_bound = 3.0 * (1.0 + lt) * big_m
-    state_sup = float(np.linalg.norm(traj.states, axis=2).max())
-    deriv_sup = float(np.linalg.norm(traj.derivatives, axis=2).max())
+    state_sup = sup_norm(traj.states)
+    deriv_sup = sup_norm(traj.derivatives)
 
     def ratio(sup: float, bound: float) -> float:
         if bound == 0.0:

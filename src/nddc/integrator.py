@@ -119,8 +119,9 @@ def run(config: SimConfig, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH)
 
     Runs abort (Diverged) at the first node that is non-finite, which is dropped,
     or whose largest |coordinate| exceeds DIVERGENCE_GUARD * max(1, M), capped at
-    the largest double, which is kept. M is the datum's largest |state| or |slope|
-    on [-tau, 0], as in the a-priori bound sup |x_i| <= (1 + lam*tau) M.
+    the largest double, which is kept. M is the largest |coordinate| of the datum's
+    states and slopes on [-tau, 0]; the a-priori bound's M (``apriori_bounds``)
+    is their largest agent norm, up to sqrt(d) times larger.
     An N-agent run whose states stop changing is filled with its last row up
     to its horizon: after a full block past the datum window whose rows and
     window are bitwise equal, every later block would rewrite the same rows.

@@ -176,12 +176,18 @@ class TestLyapTransmission:
                                  t_end=10.0)
         assert lyap_transmission(traj).violations == 0
 
-    def test_params_expose_pair_and_gamma(self):
+    def test_check_starts_where_the_pair_settles(self):
+        # The decay coefficient is positive and the check starts at
+        # max(2*tau, T0), T0 the last change of the argmax pair.
         rng = np.random.default_rng(21)
         traj = _transmission_run(rng.uniform(-1, 1, size=(4, 2)), t_end=10.0)
         series = lyap_transmission(traj)
-        assert 0.0 < series.params["gamma"] <= 1.0
-        assert series.params["decay_coefficient"] > 0.0
+        cfg = traj.config
+        gam = gamma(cfg.weights)
+        assert 0.0 < gam <= 1.0
+        assert transmission_decay_coefficient(gam, cfg.lam, cfg.tau) > 0.0
+        start = max(traj.times[2 * cfg.steps_per_delay], track_ij(traj).last_change_time)
+        assert series.times[0] == start
 
     def test_matches_naive_evaluation(self):
         # independent oracle: evaluate the functional with plain loops straight
@@ -261,19 +267,23 @@ class TestLyapReaction:
         assert series.violations == 0
         assert np.all(series.decrements <= series.tolerance)
 
-    def test_epsilon_delta_substitution(self):
-        rng = np.random.default_rng(31)
-        traj = self._reaction_run(rng.uniform(-1, 1, size=(3, 1)), tau=0.2, lam=0.5)
-        series = lyap_reaction(traj)
-        assert series.params["epsilon"] == pytest.approx(1.0)
-        assert series.params["delta"] == pytest.approx(0.4)
-
     def test_zero_anticipation_drops_phi_history_term(self):
+        # At lam = 0 the Phi-history weight lam*tau/2 is exactly 0: the functional
+        # is the half square about X(0)'s mean plus the double integral of D.
         rng = np.random.default_rng(32)
         traj = self._reaction_run(rng.uniform(-1, 1, size=(3, 1)), tau=0.2, lam=0.0)
         series = lyap_reaction(traj)
-        assert series.params["phi_coefficient"] == 0.0
         assert series.violations == 0
+        m, dt = traj.config.steps_per_delay, traj.config.mesh.step_size
+        shifted = traj.states - traj.means[0]
+        _, d_series = _phi_and_dissimilarity(shifted, traj.config.weights.weights)
+        for node in range(2 * m, len(traj.times), 37):
+            q_part = 0.5 * dt * dt * sum((k - node + m) * d_series[k - m + 1]
+                                         for k in range(node - m + 1, node + 1))
+            value = 0.5 * float(np.sum(shifted[node] ** 2)) + q_part
+            # The windowed sums are cumsum differences: absolute error on L(2m)'s scale.
+            assert series.values[node - 2 * m] == pytest.approx(
+                value, rel=1e-12, abs=1e-12 * series.values[0])
 
     def test_rejects_equality_one_half(self):
         # The guarantee is strict: (1 + lam) * tau = 1/2 exactly is rejected.

@@ -6,7 +6,8 @@ agents relabels the result. The last two hold up to rounding: the sums over
 neighbours are formed in another order, so they are compared with a stated
 tolerance of 4 * N * K * eps times the largest state entry after K steps,
 a few roundings of a length-N sum per step. The models are linear, so scaling
-the datum leaves every verdict of the fig3 grid as it is, and the run of a
+the datum leaves every verdict of the fig3 grid as it is, scaling an N-agent
+datum by 2^k scales its run and diameters by exactly 2^k, and the run of a
 sum of two datums is the sum of their runs.
 """
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nddc.core import ConstantDatum, LinearDatum, ModelKind, SimConfig, WeightMatrix
+from nddc.diagnostics import apriori_bounds
 from nddc.harness import reaction_instance, transmission_instance
 from nddc.integrator import classify_lanes, run
 from nddc.presets import figure_preset
@@ -127,7 +129,8 @@ SCALES = [1.0, 1e3, 1e8, 1e50, 1e100]
 @st.composite
 def guaranteed_transmission_runs(draw):
     # Inside the transmission guarantee lam*tau <= 1, where the a-priori bound
-    # sup |x_i| <= (1 + lam*tau) M holds, M the datum's largest |state| or |slope|.
+    # sup |x_i| <= (1 + lam*tau) M holds, M the datum's largest agent norm of a
+    # state or slope, never below the guard's largest |coordinate|.
     n, d = draw(st.integers(2, 8)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mesh = draw(meshes())
@@ -164,6 +167,29 @@ def test_scaling_the_datum_keeps_every_fig3_verdict():
             assert [label for label, _ in classify_lanes(scaled)] == want, (tau, c)
             checked += len(cells)
     assert checked == 1860
+
+
+@pytest.mark.parametrize("k", [0, 200, 520, 1000])
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.sampled_from([ModelKind.TRANSMISSION, ModelKind.REACTION]).flatmap(stable_instances))
+def test_scaling_an_n_agent_datum_by_two_to_the_k(k, config):
+    # The datum's largest |coordinate| is 1, so the guard's max(1, M) scales
+    # with it too. Powers of two scale every rounding exactly, so the verdict
+    # holds and every diameter, however large, is 2^k times its unscaled bits.
+    start, slope = config.datum.start, config.datum.slope
+    top = max(np.abs(start).max(), np.abs(slope).max())
+    base, scaled = (run(replace(config, datum=LinearDatum(np.ldexp(start / top, e),
+                                                          np.ldexp(slope / top, e))))
+                    for e in (0, k))
+    assert scaled.classification is base.classification
+    assert scaled.evidence.abort_step == base.evidence.abort_step
+    assert np.array_equal(scaled.diameters, np.ldexp(base.diameters, k))
+    assert scaled.evidence.initial_dx == np.ldexp(base.evidence.initial_dx, k)
+    assert scaled.evidence.final_dx == np.ldexp(base.evidence.final_dx, k)
+    if config.model is ModelKind.TRANSMISSION:  # drawn with lam*tau <= 1
+        want, got = apriori_bounds(base), apriori_bounds(scaled)
+        assert got.datum_bound == np.ldexp(want.datum_bound, k)
+        assert (got.state_ratio, got.deriv_ratio) == (want.state_ratio, want.deriv_ratio)
 
 
 # Both gap models at fig1's (tau, lam) = (0.25, 1) and fig4's (0.85, 0.25), on

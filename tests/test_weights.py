@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nddc.core import SUM_TOL, WeightMatrix
 from nddc.weights import (
@@ -123,6 +125,23 @@ class TestValidate:
         assert wm.row_stochastic
         assert not wm.symmetric
         assert not wm.positive_off_diagonal
+
+    def test_directed_star_out_of_node_zero(self):
+        # Node 0 reaches every node and no node reaches it.
+        star = np.zeros((5, 5))
+        star[0, 1:] = 1.0
+        assert not WeightMatrix(star).irreducible
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 10), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_irreducible_is_reachability(self, n, density, seed):
+        # Oracle: the graph of positive off-diagonal weights is strongly
+        # connected iff (I + A)^(n-1) > 0 entrywise, A its 0/1 adjacency.
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        adj = (w > 0.0) & ~np.eye(n, dtype=bool)
+        reach = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + adj, n - 1)
+        assert WeightMatrix(w).irreducible == bool((reach > 0).all())
 
     def test_uniform_all_flags(self):
         wm = WeightMatrix(make_uniform(3).weights)
